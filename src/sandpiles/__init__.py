@@ -4,12 +4,12 @@ The package computes recurrent configurations, symmetric recurrents,
 identity elements, and element orders for sandpile grid graphs, and
 cross-verifies the counts against domino-tiling numbers and
 Chebyshev/trigonometric product formulas.  All authoritative arithmetic
-is exact (Python integers and fractions); floating point appears only in
+is exact (Python integers); floating point appears only in
 the closed-form product evaluations, guarded by a rounding check.
 """
 
 from .errors import SizeCapError, PrecisionError, SymmetryError
-from .linalg import det_int, solve_exact, denominator_lcm
+from .linalg import det_int, solve_int
 from .graphs import (
     SandpileGraph,
     MatchGraph,

@@ -2,7 +2,7 @@
 
 All commands write JSON to stdout (except PGM file output) and
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 size-cap error.
+2 usage error, 3 size or precision limit exceeded.
 """
 
 import argparse
@@ -43,14 +43,13 @@ def _tiling_board(parity, m, n):
 
 def _count_methods(rows, cols):
     parity, m, n, transposed = grid_parity(rows, cols)
-    det = det_int(_sym_laplacian(rows, cols))
 
     def enumerate_count():
         g = grid_sandpile(rows, cols)
         return len(enumerate_symmetric_recurrents(g, klein_action(rows, cols)))
 
     methods = {
-        "det": lambda: det,
+        "det": lambda: det_int(_sym_laplacian(rows, cols)),
         "enumerate": enumerate_count,
         "product": lambda: closed_form_count(parity, m, n, "product"),
         "chebyshev": lambda: closed_form_count(parity, m, n, "chebyshev"),
@@ -287,6 +286,9 @@ def main(argv=None):
         return args.fn(args)
     except SizeCapError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_SIZE
+    except PrecisionError as exc:
+        print(f"precision limit exceeded: {exc}", file=sys.stderr)
         return EXIT_SIZE
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)

@@ -3,11 +3,11 @@
 import os
 from collections import deque
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian
-from .linalg import denominator_lcm, solve_exact
+from .linalg import solve_int
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -111,8 +111,8 @@ def enumerate_recurrents(g):
 def config_order(g, c):
     """Least k >= 1 with k*c in the image of the reduced Laplacian.
 
-    Computed as the lcm of the denominators of the exact rational
-    solution of the Laplacian system.
+    With det = det(L) and y = det * L^-1 c the integer Cramer numerators
+    of the Laplacian system, the order is |det| / gcd(det, y).
     """
-    x = solve_exact(reduced_laplacian(g), list(c))
-    return denominator_lcm(x)
+    det, y = solve_int(reduced_laplacian(g), list(c))
+    return abs(det) // gcd(det, *y)

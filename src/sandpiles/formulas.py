@@ -174,6 +174,8 @@ def s_root(h, m):
 
 
 def _round_guard(raw):
+    if not math.isfinite(raw):
+        raise PrecisionError(f"float product overflowed to {raw!r}")
     nearest = round(raw)
     if abs(raw - nearest) > 1e-6 * max(1.0, abs(raw)):
         raise PrecisionError(f"rounding residue too large for {raw!r}")

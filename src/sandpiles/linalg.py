@@ -1,14 +1,11 @@
-"""Exact integer/rational linear algebra.
+"""Exact integer linear algebra.
 
-Determinants use fraction-free (Bareiss) elimination so every
-intermediate entry stays an integer (each is a minor of the original
-matrix, which bounds growth).  Linear systems are solved by the same
-elimination on the augmented matrix followed by rational
-back-substitution, with an exact residual check.
+One fraction-free (Bareiss) elimination kernel serves determinants and
+linear solves: every intermediate entry stays an integer (each is a
+minor of the original matrix, which bounds growth).  A solve returns the
+integer Cramer numerators y = det * M^-1 b, found by fraction-free
+back-substitution and verified by an exact residual check.
 """
-
-from fractions import Fraction
-from math import lcm
 
 
 def _check_square(m):
@@ -18,12 +15,13 @@ def _check_square(m):
     return n
 
 
-def det_int(m):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = _check_square(m)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in m]
+def _bareiss(a, n):
+    """Fraction-free forward elimination of the n x n left block of a,
+    in place, with row swaps.  Columns right of the block are carried
+    along.  Returns the sign of the row permutation, or 0 if the block
+    is singular (then a is left partly eliminated); otherwise the
+    determinant is that sign times a[n-1][n-1].
+    """
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -36,62 +34,55 @@ def det_int(m):
             else:
                 return 0
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+            row_i = a[i]
+            aik = row_i[k]
+            row_i[k + 1:] = [(x * pivot - aik * y) // prev
+                             for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign
 
 
-def solve_exact(m, b):
-    """Solve M x = b exactly over the rationals.
+def det_int(m):
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    n = _check_square(m)
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in m]
+    return _bareiss(a, n) * a[n - 1][n - 1]
 
-    Returns a list of reduced Fractions.  Raises ValueError if M is
-    singular.  The solution is verified by exact substitution.
+
+def solve_int(m, b):
+    """Integer Cramer solve: (det, y) with M y == det * b, det = det(M).
+
+    y is the integer vector det * M^-1 b.  Raises ValueError if M is
+    singular and ArithmeticError if the exact residual check fails.
     """
     n = _check_square(m)
     if len(b) != n:
         raise ValueError("dimension mismatch")
     a = [[int(x) for x in row] + [int(bv)] for row, bv in zip(m, b)]
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise ValueError("singular matrix")
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    if n and a[n - 1][n - 1] == 0:
+    sign = _bareiss(a, n)
+    last = a[n - 1][n - 1] if n else 1
+    if sign == 0 or last == 0:
         raise ValueError("singular matrix")
-
-    x = [Fraction(0)] * n
+    # a is upper triangular with a[n-1][n-1] = det of the permuted M, so
+    # last * x is integral (Cramer) and each division below is exact.
+    y = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-
+        row = a[i]
+        acc = last * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i], rem = divmod(acc, row[i])
+        if rem:
+            raise ArithmeticError("inexact division in back-substitution")
+    det = sign * last
+    y = [sign * v for v in y]
     for row, bv in zip(m, b):
-        if sum(Fraction(c) * xv for c, xv in zip(row, x)) != bv:
+        if sum(c * v for c, v in zip(row, y)) != det * bv:
             raise ArithmeticError("nonzero residual in exact solve")
-    return x
-
-
-def denominator_lcm(v):
-    """Least k >= 1 such that k*v is an integer vector."""
-    return lcm(*(Fraction(x).denominator for x in v)) if len(v) else 1
+    return det, y
 
 
 # --- small dense matrix helpers used by the block/Chebyshev machinery ---

@@ -3,6 +3,7 @@
 from itertools import product
 from math import prod
 
+from .engine import _enum_cap, is_recurrent
 from .errors import SizeCapError, SymmetryError
 from .graphs import reduced_laplacian
 from .linalg import det_int
@@ -136,11 +137,7 @@ def unfold(action, o):
     oset = OrbitSet(action)
     if len(o) != len(oset.orbits):
         raise ValueError("orbit vector has wrong length")
-    c = [0] * action.degree
-    for val, orb in zip(o, oset.orbits):
-        for u in orb:
-            c[u] = val
-    return tuple(c)
+    return tuple(o[k] for k in oset.orbit_of)
 
 
 def enumerate_symmetric_recurrents(g, action):
@@ -149,8 +146,6 @@ def enumerate_symmetric_recurrents(g, action):
     Iterates over the folded (orbit) space, so the cap applies to the
     number of symmetric stable configurations rather than all of them.
     """
-    from .engine import _enum_cap, is_recurrent
-
     action.validate_weights(g)
     oset = OrbitSet(action)
     degs = [g.out_degree[r] for r in oset.representatives]
@@ -161,7 +156,7 @@ def enumerate_symmetric_recurrents(g, action):
         )
     found = []
     for o in product(*(range(d) for d in degs)):
-        c = unfold(action, o)
+        c = tuple(o[k] for k in oset.orbit_of)
         if is_recurrent(g, c):
             found.append(c)
     return found

@@ -11,11 +11,10 @@ spanning tree grown from the unbounded face.
 
 from collections import deque
 
-from .errors import SizeCapError
 from .graphs import MatchGraph, d_family, p_graph
+from .tilings import SINK, _walk_trees
 
 FS = "outer"  # the unbounded face
-TREE_VERTEX_CAP = 12
 
 
 class EmbeddedEdge:
@@ -144,31 +143,19 @@ class EmbeddedFamily:
         paired with their weights.  Coincident directed pairs count once
         per usable direction, a weight-2 sink edge as two embedded edges."""
         labels = list(self.vertex_node)
-        if len(labels) > TREE_VERTEX_CAP:
-            raise SizeCapError(f"tree enumeration capped at {TREE_VERTEX_CAP}")
         pos = {u: k for k, u in enumerate(labels)}
-        parent = {}
+        pos[None] = SINK
+        choices = [
+            [(pos[next(v for v, _ in self.edges[ei].ends if v != u)], w, ei)
+             for ei, w in self.edge_of_vertex[u]]
+            for u in labels
+        ]
         out = []
 
-        def rec(k, weight):
-            if k == len(labels):
-                out.append((dict(parent), weight))
-                return
-            u = labels[k]
-            for ei, w in self.edge_of_vertex[u]:
-                other = next(v for v, _ in self.edges[ei].ends if v != u)
-                t = other
-                while t is not None and t in parent:
-                    t = next(v for v, _ in self.edges[parent[t]].ends if v != t)
-                    if t == u:
-                        break
-                if t == u:
-                    continue
-                parent[u] = ei
-                rec(k + 1, weight * w)
-                del parent[u]
+        def visit(tags, weight):
+            out.append((dict(zip(labels, tags)), weight))
 
-        rec(0, 1)
+        _walk_trees(choices, visit)
         return out
 
     def temperley_matching(self, tree):

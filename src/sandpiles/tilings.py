@@ -145,39 +145,46 @@ def enumerate_matchings(board):
 
 
 def _tree_choices(g):
+    """Per-vertex (target, weight, tag) choices of a sandpile graph; the
+    tag is the parent itself."""
     choices = []
     for v in range(g.vertex_count):
-        opts = [(w, wt) for w, wt in sorted(g.out[v].items())]
+        opts = [(w, wt, w) for w, wt in sorted(g.out[v].items())]
         if g.sink_weight[v]:
-            opts.append((SINK, g.sink_weight[v]))
+            opts.append((SINK, g.sink_weight[v], SINK))
         choices.append(opts)
     return choices
 
 
-def _walk_trees(g, visit):
+def _walk_trees(choices, visit):
     """Enumerate rooted spanning trees as parent assignments.
 
-    Every non-sink vertex picks one outgoing edge; acyclicity is checked
+    choices[v] lists the (target, weight, tag) options of vertex v,
+    with target another vertex index or SINK; tag records which edge
+    was taken.  Every vertex picks one option; acyclicity is checked
     incrementally by walking the parent chain of each new assignment.
+    visit(tags, weight) sees the chosen tag per vertex.
     """
-    n = g.vertex_count
-    choices = _tree_choices(g)
+    n = len(choices)
+    if n > TREE_VERTEX_CAP:
+        raise SizeCapError(f"tree enumeration capped at {TREE_VERTEX_CAP} vertices")
     parent = [None] * n
+    tags = [None] * n
 
     def rec(v, weight):
         if v == n:
-            visit(parent, weight)
+            visit(tags, weight)
             return
-        for w, wt in choices[v]:
+        for w, wt, tag in choices[v]:
             # does v -> w close a cycle through already-assigned vertices?
             u = w
-            while u != SINK and u is not None and parent[u] is not None:
+            while u != SINK and parent[u] is not None:
                 u = parent[u]
                 if u == v:
                     break
             if u == v:
                 continue
-            parent[v] = w
+            parent[v], tags[v] = w, tag
             rec(v + 1, weight * wt)
             parent[v] = None
 
@@ -190,25 +197,21 @@ def enumerate_spanning_trees(g):
     parents maps each vertex index to its parent (SINK for sink edges);
     the weight is the product of the chosen edge weights.
     """
-    if g.vertex_count > TREE_VERTEX_CAP:
-        raise SizeCapError(f"tree enumeration capped at {TREE_VERTEX_CAP} vertices")
     out = []
-    _walk_trees(g, lambda parent, w: out.append((tuple(parent), w)))
+    _walk_trees(_tree_choices(g), lambda parent, w: out.append((tuple(parent), w)))
     return out
 
 
 def spanning_tree_weight_sum(g):
     """Sum of spanning-tree weights by direct enumeration (the
     matrix-tree oracle; does not materialize the trees)."""
-    if g.vertex_count > TREE_VERTEX_CAP:
-        raise SizeCapError(f"tree enumeration capped at {TREE_VERTEX_CAP} vertices")
     total = 0
 
     def visit(parent, w):
         nonlocal total
         total += w
 
-    _walk_trees(g, visit)
+    _walk_trees(_tree_choices(g), visit)
     return total
 
 

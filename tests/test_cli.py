@@ -119,3 +119,16 @@ def test_size_cap_exit_code(capsys, monkeypatch):
                            "--cols", "6", "--method", "enumerate")
     assert code == 3
     assert "cap" in err
+
+
+def test_precision_limit_exit_code(capsys, monkeypatch):
+    def unused(rows, cols):
+        raise AssertionError("the symmetrized Laplacian was built")
+
+    monkeypatch.setattr("sandpiles.cli._sym_laplacian", unused)
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "300",
+                             "--cols", "300", "--method", "product")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "precision" in err
+    assert "Traceback" not in err

@@ -124,6 +124,17 @@ def test_config_order_known_values():
     assert config_order(grid_sandpile(2, 3), (1,) * 6) == 7
 
 
+def test_config_order_matches_repeated_addition(triangle):
+    # the least k with (e + k*c) stabilized back at the identity e
+    for g in (triangle, grid_sandpile(2, 2)):
+        e = identity_config(g)
+        for c in enumerate_recurrents(g):
+            acc, k = stable_add(g, e, c), 1
+            while acc != e:
+                acc, k = stable_add(g, acc, c), k + 1
+            assert config_order(g, c) == k
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("SANDPILE_ENUM_CAP", "10")
     with pytest.raises(SizeCapError):

@@ -167,3 +167,11 @@ def test_invalid_arguments():
         closed_form_count("even_even", 0, 1)
     with pytest.raises(ValueError):
         closed_form_count("even_even", 1, 1, form="series")
+
+
+def test_round_guard_refuses_overflow():
+    from sandpiles.formulas import _round_guard
+
+    for raw in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(PrecisionError):
+            _round_guard(raw)

@@ -1,16 +1,16 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandpiles.linalg import (
-    denominator_lcm,
     det_int,
     mat_identity,
     mat_mul,
     mat_transpose,
-    solve_exact,
+    solve_int,
 )
 
 
@@ -65,30 +65,59 @@ def test_det_transpose_invariant():
     assert det_int(m) == det_int(mat_transpose(m))
 
 
+def fraction_solve(mat, rhs):
+    """Gauss-Jordan elimination over Fraction, as the solve oracle."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(mat, rhs)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n] for row in a]
+
+
 @given(square_matrices, st.data())
 @settings(max_examples=100)
-def test_solve_exact_residual(mat, data):
+def test_solve_int_residual(mat, data):
     n = len(mat)
     rhs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
     if det_int(mat) == 0:
         with pytest.raises(ValueError):
-            solve_exact(mat, rhs)
+            solve_int(mat, rhs)
         return
-    x = solve_exact(mat, rhs)
+    det, y = solve_int(mat, rhs)
+    assert det == det_int(mat)
+    assert all(isinstance(v, int) for v in y)
     for i in range(n):
-        assert sum(Fraction(mat[i][j]) * x[j] for j in range(n)) == rhs[i]
+        assert sum(mat[i][j] * y[j] for j in range(n)) == det * rhs[i]
 
 
-def test_solve_exact_rational_result():
-    x = solve_exact([[2, 0], [0, 3]], [1, 1])
-    assert x == [Fraction(1, 2), Fraction(1, 3)]
-    assert denominator_lcm(x) == 6
+def test_solve_int_singular():
+    with pytest.raises(ValueError, match="singular"):
+        solve_int([[1, 2], [2, 4]], [1, 1])
+    with pytest.raises(ValueError, match="singular"):
+        solve_int([[0]], [1])
 
 
-def test_denominator_lcm_integers():
-    assert denominator_lcm([Fraction(3), Fraction(-2)]) == 1
-    assert denominator_lcm([]) == 1
-    assert denominator_lcm([Fraction(1, 4), Fraction(5, 6)]) == 12
+def test_solve_int_known_value():
+    assert solve_int([[2, 0], [0, 3]], [1, 1]) == (6, [3, 2])
+    assert solve_int([], []) == (1, [])
+
+
+@given(square_matrices, st.data())
+@settings(max_examples=100)
+def test_order_matches_denominator_lcm(mat, data):
+    n = len(mat)
+    rhs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    if det_int(mat) == 0:
+        return
+    det, y = solve_int(mat, rhs)
+    expected = lcm(*(x.denominator for x in fraction_solve(mat, rhs)))
+    assert abs(det) // gcd(det, *y) == expected
 
 
 def test_mat_mul_identity():
