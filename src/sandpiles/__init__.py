@@ -35,6 +35,7 @@ from .symmetry import (
     orbits,
     symmetrized_laplacian,
     count_symmetric_recurrents,
+    symmetric_config_order,
     enumerate_symmetric_recurrents,
     fold,
     unfold,

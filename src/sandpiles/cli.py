@@ -18,6 +18,7 @@ from .linalg import det_int
 from .symmetry import (
     enumerate_symmetric_recurrents,
     klein_action,
+    symmetric_config_order,
     symmetrized_laplacian,
 )
 from .tilings import a_seq, count_matchings, enumerate_matchings, pn_embed
@@ -97,13 +98,13 @@ def cmd_count_tilings(args):
 
 def cmd_order(args):
     g = grid_sandpile(args.rows, args.cols)
+    action = klein_action(args.rows, args.cols)
     fill = 1 if args.config == "all-ones" else 2
-    c = tuple(fill for _ in range(g.vertex_count))
-    order = config_order(g, c)
+    order = symmetric_config_order(g, action, (fill,) * g.vertex_count)
     report = {"rows": args.rows, "cols": args.cols, "config": args.config,
               "order": order}
     if args.config == "all-ones":
-        twos = config_order(g, tuple(2 for _ in range(g.vertex_count)))
+        twos = symmetric_config_order(g, action, (2,) * g.vertex_count)
         report["all_twos_order"] = twos
         report["ratio"] = order // twos
     print(json.dumps(report))
@@ -160,8 +161,9 @@ def _verify_rows(max_m, max_n):
                 tilings // an**2 if tilings == 2**n * an**2 else tilings / an**2
             )
             values["power_of_two_check"] = tilings == 2**n * an**2
-        order_sq = config_order(
-            grid_sandpile(2 * n, 2 * n), (2,) * (4 * n * n))
+        order_sq = symmetric_config_order(
+            grid_sandpile(2 * n, 2 * n), klein_action(2 * n, 2 * n),
+            (2,) * (4 * n * n))
         values["order_two_grid"] = order_sq
         values["divides_a_n"] = an % order_sq == 0
         pg = p_graph(n)

@@ -1,12 +1,11 @@
 """Group actions on sandpile graphs and the symmetrized reduced Laplacian."""
 
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from .engine import _enum_cap, is_recurrent
 from .errors import SizeCapError, SymmetryError
-from .graphs import reduced_laplacian
-from .linalg import det_int
+from .linalg import det_int, solve_int
 
 
 class GroupAction:
@@ -108,19 +107,47 @@ def orbits(action):
 
 def symmetrized_laplacian(g, action):
     """Orbit-level firing matrix: the entry in row Gw, column Gv is the
-    w-component of the sum of the Laplacian rows over the orbit of v."""
+    w-component of the sum of the Laplacian rows over the orbit of v.
+
+    Built from the out-edges, so only the k x k orbit matrix is stored:
+    row Gw starts as out_degree[w] in w's own column, and every edge
+    u -> w into a representative w takes its weight off column Gu.
+    """
     action.validate_weights(g)
     oset = OrbitSet(action)
-    lap = reduced_laplacian(g)
     reps = oset.representatives
-    out = []
-    for w in reps:
-        out.append([sum(lap[u][w] for u in orb) for orb in oset.orbits])
+    out = [[0] * len(reps) for _ in reps]
+    for row, w in enumerate(reps):
+        out[row][row] = g.out_degree[w]
+    for u, edges in enumerate(g.out):
+        col = oset.orbit_of[u]
+        for w, wt in edges.items():
+            row = oset.orbit_of[w]
+            if reps[row] == w:
+                out[row][col] -= wt
     return out
 
 
 def count_symmetric_recurrents(g, action):
     return det_int(symmetrized_laplacian(g, action))
+
+
+def symmetric_config_order(g, action, c):
+    """Element order of a configuration c fixed by the action, solved on
+    the folded system of one unknown per orbit.
+
+    L commutes with the action, so x = L^-1 c is fixed by it, and on an
+    undirected graph (L symmetric) L x = c folds to S z = fold(c) with
+    x = unfold(z) and S the symmetrized Laplacian.  With det = det(S) and
+    y = det * z, the order is |det| / gcd(det, y), as in
+    `engine.config_order`.  Raises SymmetryError if c is not symmetric.
+    """
+    if not g.undirected:
+        raise ValueError("folded element orders require an undirected graph")
+    if len(c) != g.vertex_count:
+        raise ValueError("configuration has wrong length")
+    det, y = solve_int(symmetrized_laplacian(g, action), list(fold(action, c)))
+    return abs(det) // gcd(det, *y)
 
 
 def fold(action, c):

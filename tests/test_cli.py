@@ -66,6 +66,22 @@ def test_order_all_twos(capsys):
     assert json.loads(out)["order"] == 71
 
 
+def test_order_all_twos_20x20(capsys):
+    code, out, _ = run_cli(capsys, "order", "--rows", "20", "--cols", "20")
+    assert code == 0
+    assert json.loads(out)["order"] == 858944872773025112243
+
+
+def test_order_all_ones_12x12(capsys):
+    code, out, _ = run_cli(capsys, "order", "--rows", "12", "--cols", "12",
+                           "--config", "all-ones")
+    assert code == 0
+    report = json.loads(out)
+    assert report["order"] == 11517430
+    assert report["all_twos_order"] == 5758715
+    assert report["ratio"] == 2
+
+
 def test_identity_pgm_stable_bytes(capsys, tmp_path):
     out1, out2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
     assert run_cli(capsys, "identity", "--rows", "4", "--cols", "4",
