@@ -3,9 +3,9 @@
 The package computes recurrent configurations, symmetric recurrents,
 identity elements, and element orders for sandpile grid graphs, and
 cross-verifies the counts against domino-tiling numbers and
-Chebyshev/trigonometric product formulas.  All authoritative arithmetic
-is exact (Python integers); floating point appears only in
-the closed-form product evaluations, guarded by a rounding check.
+Chebyshev/trigonometric product formulas.  All arithmetic is exact
+(Python integers): the closed-form products are evaluated as integer
+resultants, with no floating point anywhere.
 """
 
 from .errors import SizeCapError, PrecisionError, SymmetryError

@@ -109,10 +109,13 @@ def enumerate_recurrents(g):
 
 
 def config_order(g, c):
-    """Least k >= 1 with k*c in the image of the reduced Laplacian.
+    """Least k >= 1 with k*c in the lattice the firings span.
 
-    With det = det(L) and y = det * L^-1 c the integer Cramer numerators
-    of the Laplacian system, the order is |det| / gcd(det, y).
+    Firing v subtracts row v of the reduced Laplacian L, so that lattice
+    is L^T Z^n (L^T = L on undirected graphs).  With det = det(L) and
+    y = det * L^-T c the integer Cramer numerators, the order is
+    |det| / gcd(det, y).
     """
-    det, y = solve_int(reduced_laplacian(g), list(c))
+    lap_t = list(zip(*reduced_laplacian(g)))
+    det, y = solve_int(lap_t, list(c))
     return abs(det) // gcd(det, *y)

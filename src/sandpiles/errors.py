@@ -6,7 +6,11 @@ class SizeCapError(Exception):
 
 
 class PrecisionError(Exception):
-    """A floating-point product failed the integer rounding guard."""
+    """A floating-point result failed an integer rounding guard.
+
+    No package code raises it: every count is computed in exact integer
+    arithmetic.  The class is kept for callers that catch it.
+    """
 
 
 class SymmetryError(Exception):

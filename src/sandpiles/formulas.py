@@ -1,18 +1,14 @@
 """Chebyshev polynomials, block-tridiagonal determinants, and the
 closed-form symmetric-recurrent counts.
 
-The Chebyshev forms of the counts involve polynomials evaluated at
-purely imaginary arguments.  Those are rewritten as real recurrences
-before evaluation (see `closed_form_count`), so no complex arithmetic
-occurs anywhere; the floating results are rounded to integers under a
-relative-residue guard, with the exact determinant remaining the
-authority whenever they disagree.
+The closed forms are products over the cosine roots of Chebyshev
+polynomials.  Each is evaluated exactly, as the resultant of two integer
+polynomials whose roots are those squared cosines (see
+`closed_form_count`), so every count is an integer computed with
+`det_int` and none depends on the block determinant it cross-checks.
 """
 
-import math
-
 from .blocks import parity_blocks
-from .errors import PrecisionError
 from .linalg import det_int, mat_identity, mat_mul, mat_scale, mat_sub
 
 
@@ -86,8 +82,7 @@ def _is_matrix(x):
 def chebyshev_t(j, x):
     """Chebyshev polynomial of the first kind, T_j, evaluated at x.
 
-    x may be an integer, Fraction, float, Poly, or a square matrix
-    (list of rows).
+    x may be a number, a Poly, or a square matrix (list of rows).
     """
     if j < 0:
         raise ValueError("T_j needs j >= 0")
@@ -150,95 +145,92 @@ def parity_block_det(parity, m, n):
     return block_tridiag_det(a, b, c, m)
 
 
-# --- trigonometric parameters ---
+# --- the closed forms as resultants ---
+#
+# Every product below has the shape prod_h R(a_h), where a_h runs over
+# the roots of a monic integer polynomial P in y.  That product is the
+# resultant Res(P, R), an integer, computed exactly as the determinant
+# of the Sylvester matrix.  With d >= 1:
+#   P_xi,d   = U_2d(sqrt(y)/2)    has the roots 4 xi_h^2,
+#              xi_h = cos(h pi / (2d + 1)),        h = 1..d;
+#   P_zeta,d = 2 T_2d(sqrt(y)/2)  has the roots 4 zeta_h^2,
+#              zeta_h = cos((2h - 1) pi / (4d)),   h = 1..d.
+# Both follow f_j = (y - 2) f_{j-1} - f_{j-2} in j = d (the two-step form
+# of the Chebyshev recurrence at x^2 = y/4).
+
+_Y = Poly.x()
 
 
-def xi(h, d):
-    return math.cos(h * math.pi / (2 * d + 1))
+def _two_step(f0, f1, step, j):
+    """f_j of the recurrence f_j = step * f_{j-1} - f_{j-2}."""
+    for _ in range(j):
+        f0, f1 = f1, step * f1 - f0
+    return f0
 
 
-def zeta(h, d):
-    return math.cos((2 * h - 1) * math.pi / (4 * d))
+def _p_xi(d):
+    return _two_step(Poly((1,)), _Y - 1, _Y - 2, d)
 
 
-def mu(k, n):
-    return math.sin((4 * k - 1) * math.pi / (4 * n))
+def _p_zeta(d):
+    return _two_step(Poly((2,)), _Y - 2, _Y - 2, d)
 
 
-def t_root(h, m):
-    return 2 * math.cos((2 * h + 1) * math.pi / (2 * m + 1))
+def _negated(p):
+    """(-1)^deg p * p(-y): the monic polynomial prod (y + root)."""
+    return (-1) ** (len(p.coeffs) - 1) * p(-_Y)
 
 
-def s_root(h, m):
-    return math.cos((2 * h - 1) * math.pi / (2 * m))
-
-
-def _round_guard(raw):
-    if not math.isfinite(raw):
-        raise PrecisionError(f"float product overflowed to {raw!r}")
-    nearest = round(raw)
-    if abs(raw - nearest) > 1e-6 * max(1.0, abs(raw)):
-        raise PrecisionError(f"rounding residue too large for {raw!r}")
-    return int(nearest)
-
-
-def _u_even_imag(n, x):
-    """(-1)^n U_2n(i x) as a real value.
-
-    With u_j = i^(-j) U_j(i x) the U recurrence becomes
-    u_j = 2 x u_{j-1} + u_{j-2}, and (-1)^n U_2n(i x) = u_2n, which the
-    two-step form below evaluates: C_0 = 1, C_1 = 4x^2 + 1,
-    C_j = (4x^2 + 2) C_{j-1} - C_{j-2}.
-    """
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 4 * x * x + 1
-    for _ in range(n - 1):
-        prev, cur = cur, (4 * x * x + 2) * cur - prev
-    return cur
+def _resultant(p, q):
+    """Res(p, q) = lead(p)^deg q * prod q(root of p): the determinant of
+    the Sylvester matrix."""
+    a, b = list(p.coeffs[::-1]), list(q.coeffs[::-1])
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
+    return det_int(rows)
 
 
 def closed_form_count(parity, m, n, form="product"):
-    """Closed-form symmetric-recurrent counts by parity class.
+    """Closed-form symmetric-recurrent counts by parity class, exact.
 
-    form="product": double product over shifted cosine squares.
-    form="chebyshev": single product of Chebyshev evaluations, with the
-    imaginary-argument forms replaced by their real avatars (half-angle
-    identity T_2j(x) = T_j(2x^2 - 1)).
+    form="product": prod over (h, k) of 4 left_h^2 + 4 right_k^2, with
+    left = zeta (odd_odd) or xi at d = m and right = xi (even_even) or
+    zeta at d = n; that is Res(P_left,m, prod_k (y + 4 right_k^2)).
+
+    form="chebyshev": prod over h of a Chebyshev factor at y = 4 base_h^2.
+    even_even: base = xi and the factor is (-1)^n U_2n(i xi_h) = C_n(y),
+    C_0 = 1, C_1 = y + 1, C_j = (y + 2) C_{j-1} - C_{j-2} (the two-step
+    form of u_j = 2x u_{j-1} + u_{j-2}, where u_j = i^(-j) U_j(i x)).
+    Otherwise base = xi (even_odd) or zeta (odd_odd) and the factor is
+    2 T_n(1 + y/2) = V_n(y), V_0 = 2, V_1 = y + 2, the same step.
     """
     if parity not in ("even_even", "even_odd", "odd_odd"):
         raise ValueError(f"unknown parity class {parity!r}")
     if m < 1 or n < 1:
         raise ValueError("m, n must be positive")
     if form == "product":
-        left = zeta if parity == "odd_odd" else xi
-        right = xi if parity == "even_even" else zeta
-        raw = 1.0
-        for h in range(1, m + 1):
-            for k in range(1, n + 1):
-                raw *= 4 * left(h, m) ** 2 + 4 * right(k, n) ** 2
-        return _round_guard(raw)
+        left = _p_zeta(m) if parity == "odd_odd" else _p_xi(m)
+        right = _p_xi(n) if parity == "even_even" else _p_zeta(n)
+        return _resultant(left, _negated(right))
     if form == "chebyshev":
         if parity == "even_even":
-            raw = 1.0
-            for h in range(1, m + 1):
-                raw *= _u_even_imag(n, xi(h, m))
-        else:
-            base = xi if parity == "even_odd" else zeta
-            raw = float(2**m)
-            for h in range(1, m + 1):
-                raw *= chebyshev_t(n, 1 + 2 * base(h, m) ** 2)
-        return _round_guard(raw)
+            return _resultant(_p_xi(m), _two_step(Poly((1,)), _Y + 1, _Y + 2, n))
+        base = _p_xi(m) if parity == "even_odd" else _p_zeta(m)
+        return _resultant(base, _two_step(Poly((2,)), _Y + 2, _Y + 2, n))
     raise ValueError(f"unknown form {form!r}")
 
 
 def lu_wu_count(m, n):
-    """Tilings of the 2m x 2n twisted (Moebius) checkerboard."""
-    raw = 1.0
-    for h in range(1, m + 1):
-        for k in range(1, n + 1):
-            raw *= 4 * xi(h, m) ** 2 + 4 * mu(k, n) ** 2
-    return _round_guard(raw)
+    """Tilings of the 2m x 2n twisted (Moebius) checkerboard: the double
+    product over (h, k) of 4 xi_h^2 + 4 mu_k^2, with
+    mu_k = sin((4k - 1) pi / (4n)), k = 1..n.
+
+    The 4 mu_k^2 = 4 - 4 cos^2 run over 4 - 4 zeta_k^2 at d = n, so they
+    are the roots of P_mu,n(y) = (-1)^n P_zeta,n(4 - y).
+    """
+    p_mu = (-1) ** n * _p_zeta(n)(4 - _Y)
+    return _resultant(_p_xi(m), _negated(p_mu))
 
 
 def characteristic_recurrence(parity, n, x):
@@ -248,13 +240,7 @@ def characteristic_recurrence(parity, n, x):
     if n < 0:
         raise ValueError("n must be >= 0")
     if parity == "even_even":
-        prev, cur = 1, 3 - x
-    elif parity in ("even_odd", "odd_odd"):
-        prev, cur = 2, 4 - x
-    else:
-        raise ValueError(f"unknown parity class {parity!r}")
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, (4 - x) * cur - prev
-    return cur
+        return _two_step(1, 3 - x, 4 - x, n)
+    if parity in ("even_odd", "odd_odd"):
+        return _two_step(2, 4 - x, 4 - x, n)
+    raise ValueError(f"unknown parity class {parity!r}")

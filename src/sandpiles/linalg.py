@@ -96,10 +96,6 @@ def mat_zero(n):
     return [[0] * n for _ in range(n)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -111,7 +107,3 @@ def mat_scale(k, a):
 def mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_transpose(a):
-    return [list(row) for row in zip(*a)]

@@ -137,14 +137,22 @@ def test_size_cap_exit_code(capsys, monkeypatch):
     assert "cap" in err
 
 
-def test_precision_limit_exit_code(capsys, monkeypatch):
+def test_product_16x16_is_exact(capsys, monkeypatch):
     def unused(rows, cols):
         raise AssertionError("the symmetrized Laplacian was built")
 
     monkeypatch.setattr("sandpiles.cli._sym_laplacian", unused)
-    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "300",
-                             "--cols", "300", "--method", "product")
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "precision" in err
-    assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "16",
+                             "--cols", "16", "--method", "product")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["value"] == 2444888770250892795802079170816
+
+
+def test_count_symmetric_all_methods_agree_12x12(capsys):
+    code, out, _ = run_cli(capsys, "count-symmetric", "--rows", "12",
+                           "--cols", "12", "--method", "all")
+    assert code == 0
+    report = json.loads(out)
+    assert report["agree"] is True
+    assert report["values"]["product"] == report["values"]["det"]

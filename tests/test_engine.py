@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sandpiles import (
     burning_config,
     config_order,
+    d_family,
     enumerate_recurrents,
     grid_sandpile,
     identity_config,
@@ -133,6 +134,22 @@ def test_config_order_matches_repeated_addition(triangle):
             while acc != e:
                 acc, k = stable_add(g, acc, c), k + 1
             assert config_order(g, c) == k
+
+
+def test_config_order_directed_graph():
+    # firing subtracts rows of L, so the order is taken in Z^n / L^T Z^n;
+    # solving against L instead gives 8, 8, 8, 16 here
+    g = d_family("Ddoubleprime", 2, 2)
+    e = identity_config(g)
+    orders = []
+    for v in range(g.vertex_count):
+        unit = tuple(int(w == v) for w in range(g.vertex_count))
+        acc, k = stable_add(g, e, unit), 1
+        while acc != e:
+            acc, k = stable_add(g, acc, unit), k + 1
+        assert config_order(g, unit) == k
+        orders.append(k)
+    assert orders == [16, 8, 8, 8]
 
 
 def test_enumeration_cap(monkeypatch):

@@ -9,7 +9,6 @@ from sandpiles.linalg import (
     det_int,
     mat_identity,
     mat_mul,
-    mat_transpose,
     solve_int,
 )
 
@@ -62,7 +61,7 @@ def test_det_singular():
 
 def test_det_transpose_invariant():
     m = [[4, -1, 0], [-1, 3, -2], [0, -1, 2]]
-    assert det_int(m) == det_int(mat_transpose(m))
+    assert det_int(m) == det_int([list(col) for col in zip(*m)])
 
 
 def fraction_solve(mat, rhs):
