@@ -8,6 +8,7 @@ diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
 import argparse
 import json
 import sys
+from math import gcd
 
 from .blocks import grid_parity, parity_blocks
 from .engine import config_order, identity_config
@@ -156,9 +157,9 @@ def _verify_rows(max_m, max_n):
         if n <= 5:
             tilings = count_matchings(board_graph("plain", 2 * n, 2 * n))
             values["tilings_2n"] = tilings
+            g = gcd(tilings, an**2)
             values["tilings_over_a_sq"] = (
-                tilings // an**2 if tilings == 2**n * an**2 else tilings / an**2
-            )
+                tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
             values["power_of_two_check"] = tilings == 2**n * an**2
         order_sq = symmetric_config_order(
             grid_sandpile(2 * n, 2 * n), klein_action(2 * n, 2 * n),

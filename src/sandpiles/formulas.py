@@ -9,7 +9,12 @@ polynomials whose roots are those squared cosines (see
 """
 
 from .blocks import parity_blocks
+from .errors import SizeCapError
 from .linalg import det_int, mat_identity, mat_mul, mat_scale, mat_sub
+
+# Largest Sylvester matrix a closed form may eliminate: its cost grows as
+# the cube of the dimension (m + n, the two degrees) in big-integer steps.
+SYLVESTER_DIM_CAP = 128
 
 
 class Poly:
@@ -186,6 +191,10 @@ def _resultant(p, q):
     the Sylvester matrix."""
     a, b = list(p.coeffs[::-1]), list(q.coeffs[::-1])
     m, n = len(a) - 1, len(b) - 1
+    if m + n > SYLVESTER_DIM_CAP:
+        raise SizeCapError(
+            f"Sylvester matrix of dimension {m + n} exceeds the cap of "
+            f"{SYLVESTER_DIM_CAP}")
     rows = [[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + b + [0] * (m - 1 - i) for i in range(m)]
     return det_int(rows)

@@ -2,10 +2,11 @@
 staircase-graph machinery.
 
 Matching counts on grid-shaped boards use a column-sweep bitmask dynamic
-program over boundary profiles; twisted (wrap-edge) boards are handled
-by summing the plain DP over all seam subsets.  Small arbitrary graphs
-fall back to recursive enumeration, which doubles as the oracle for the
-DP in the tests.
+program over boundary profiles, swept along the longer side of a board
+without wrap edges; twisted (wrap-edge) boards are handled by summing the
+plain DP over all seam subsets.  Small arbitrary graphs fall back to
+recursive enumeration, which doubles as the oracle for the DP in the
+tests.
 """
 
 from .errors import SizeCapError
@@ -91,6 +92,12 @@ def count_matchings(board):
         rows, cols, unit, wraps = grid
         if rows * cols % 2:
             return 0
+        if not wraps and rows > cols:
+            # The DP's state is a bitmask over one column, so sweep along
+            # the longer side.
+            rows, cols = cols, rows
+            unit = {((c1, r1), (c2, r2)): w
+                    for ((r1, c1), (r2, c2)), w in unit.items()}
         total = 0
         for subset in range(1 << len(wraps)):
             removed = set()

@@ -93,6 +93,13 @@ def test_identity_pgm_stable_bytes(capsys, tmp_path):
     assert data.startswith(b"P2\n4 4\n3\n")
 
 
+def test_count_tilings_tall_strip(capsys):
+    code, out, _ = run_cli(capsys, "count-tilings", "--rows", "40",
+                           "--cols", "2")
+    assert code == 0
+    assert json.loads(out)["count"] == 165580141  # Fibonacci(41)
+
+
 def test_identity_json(capsys, tmp_path):
     out = tmp_path / "e.json"
     run_cli(capsys, "identity", "--rows", "2", "--cols", "3",
@@ -108,6 +115,20 @@ def test_verify_all_agree(capsys):
     assert rows and all(r["agree"] for r in rows)
     kinds = {r["kind"] for r in rows}
     assert kinds == {"even_even", "even_odd", "odd_odd", "staircase"}
+
+
+def test_verify_prints_an_exact_ratio_when_the_power_check_fails(
+        capsys, monkeypatch):
+    from sandpiles.tilings import a_seq
+
+    monkeypatch.setattr("sandpiles.cli.a_seq", lambda n: a_seq(n) + 2)
+    code, out, _ = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "1")
+    assert code == 1
+    rows = [json.loads(line, parse_float=pytest.fail)
+            for line in out.splitlines()]
+    staircase = rows[-1]["values"]
+    assert staircase["power_of_two_check"] is False
+    assert staircase["tilings_over_a_sq"] == "2/9"  # 2 tilings of 2x2, a_1 = 3
 
 
 def test_a_seq(capsys):
@@ -147,6 +168,18 @@ def test_product_16x16_is_exact(capsys, monkeypatch):
     assert code == 0
     assert err == ""
     assert json.loads(out)["value"] == 2444888770250892795802079170816
+
+
+def test_product_beyond_sylvester_cap_exits_3(capsys, monkeypatch):
+    def unused(matrix):
+        raise AssertionError("the Sylvester determinant was computed")
+
+    monkeypatch.setattr("sandpiles.formulas.det_int", unused)
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "300",
+                             "--cols", "300", "--method", "product")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
 
 
 def test_count_symmetric_all_methods_agree_12x12(capsys):

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sandpiles import formulas
 from sandpiles.blocks import (
     PARITIES,
     assemble_block_tridiag,
     grid_parity,
     parity_blocks,
 )
+from sandpiles.errors import SizeCapError
 from sandpiles.formulas import (
+    SYLVESTER_DIM_CAP,
     Poly,
     block_tridiag_det,
     characteristic_recurrence,
@@ -128,6 +131,22 @@ def test_closed_forms_match_determinant_on_large_grids(rows, cols):
     assert closed_form_count(parity, m, n, "chebyshev") == expect
     if parity == "even_odd":
         assert lu_wu_count(m, n) == expect
+
+
+def test_closed_forms_cap_the_sylvester_dimension(monkeypatch):
+    dims = []
+    monkeypatch.setattr(formulas, "det_int", lambda rows: dims.append(len(rows)))
+    m = SYLVESTER_DIM_CAP // 2
+    n = SYLVESTER_DIM_CAP - m
+    for parity in PARITIES:
+        for form in ("product", "chebyshev"):
+            closed_form_count(parity, m, n, form)
+            with pytest.raises(SizeCapError):
+                closed_form_count(parity, m, n + 1, form)
+    lu_wu_count(m, n)
+    with pytest.raises(SizeCapError):
+        lu_wu_count(m + 1, n)
+    assert dims == [SYLVESTER_DIM_CAP] * 7
 
 
 def test_lu_wu_anchors():

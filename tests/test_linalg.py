@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sandpiles import grid_sandpile, klein_action, symmetrized_laplacian
+from sandpiles.blocks import grid_parity, parity_blocks
+from sandpiles.formulas import block_tridiag_det
 from sandpiles.linalg import (
     det_int,
     mat_identity,
@@ -42,9 +45,26 @@ square_matrices = st.integers(1, 5).flatmap(
 )
 
 
+# Mostly zero entries, so elimination skips rows, scales them lazily and
+# swaps in rows that were last updated several steps back.
+sparse_matrices = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+)
+
+
 @given(square_matrices)
 @settings(max_examples=200)
 def test_det_matches_fraction_elimination(mat):
+    assert det_int(mat) == fraction_det(mat)
+
+
+@given(sparse_matrices)
+@settings(max_examples=200)
+def test_det_sparse_matches_fraction_elimination(mat):
     assert det_int(mat) == fraction_det(mat)
 
 
@@ -53,6 +73,26 @@ def test_det_known_values():
     assert det_int([[1, 2], [3, 4]]) == -2
     assert det_int([[3, -1, -1], [-1, 3, -1], [-1, -1, 2]]) == 8
     assert det_int([[2, -1], [-2, 2]]) == 2
+
+
+def test_zero_pivot_swaps_in_a_row_not_brought_current():
+    # Step 0 updates rows 1 and 2 and skips row 3 (zero in column 0), so
+    # the zero pivot at step 1 is swapped with row 3, which must first be
+    # scaled by the step-0 pivot 3.
+    mat = [[3, 0, -1, 0],
+           [2, 0, 0, -1],
+           [1, 0, 0, 0],
+           [0, -1, 2, 0]]
+    assert det_int(mat) == fraction_det(mat) == -1
+    assert solve_int(mat, [1, 2, 3, 4]) == (-1, [-3, -12, -8, -4])
+
+
+@pytest.mark.parametrize("rows,cols", [(40, 40), (31, 33)])
+def test_folded_det_matches_block_recurrence(rows, cols):
+    parity, m, n, _ = grid_parity(rows, cols)
+    lap = symmetrized_laplacian(grid_sandpile(rows, cols),
+                                klein_action(rows, cols))
+    assert det_int(lap) == block_tridiag_det(*parity_blocks(parity, n), m)
 
 
 def test_det_singular():
@@ -93,6 +133,19 @@ def test_solve_int_residual(mat, data):
     assert all(isinstance(v, int) for v in y)
     for i in range(n):
         assert sum(mat[i][j] * y[j] for j in range(n)) == det * rhs[i]
+
+
+@given(sparse_matrices, st.data())
+@settings(max_examples=200)
+def test_solve_int_sparse_matches_fraction_solve(mat, data):
+    n = len(mat)
+    rhs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    det = fraction_det(mat)
+    if det == 0:
+        with pytest.raises(ValueError):
+            solve_int(mat, rhs)
+        return
+    assert solve_int(mat, rhs) == (det, [det * x for x in fraction_solve(mat, rhs)])
 
 
 def test_solve_int_singular():

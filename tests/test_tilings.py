@@ -16,6 +16,7 @@ from sandpiles import (
     reduced_laplacian,
     spanning_tree_weight_sum,
 )
+from sandpiles import tilings
 from sandpiles.errors import SizeCapError
 from sandpiles.graphs import MatchGraph
 from sandpiles.linalg import det_int
@@ -56,6 +57,32 @@ def test_dp_matches_enumeration_odd_rows():
         board = board_graph(kind, rows, cols)
         assert count_matchings(board) == sum(
             w for _, w in enumerate_matchings(board))
+
+
+@pytest.mark.parametrize("kind,rows,cols", [
+    ("plain", 9, 2), ("two_weighted", 6, 4), ("mobius_weighted", 7, 4),
+    ("mobius_weighted", 6, 2),
+])
+def test_tall_boards_sweep_the_short_side(kind, rows, cols, monkeypatch):
+    board = board_graph(kind, rows, cols)
+    _, _, unit, _ = tilings._grid_structure(board)
+    expect = tilings._grid_dp(rows, cols, unit, set())  # untransposed sweep
+    sweeps = []
+    grid_dp = tilings._grid_dp
+    monkeypatch.setattr(tilings, "_grid_dp",
+                        lambda *args: sweeps.append(args[:2]) or grid_dp(*args))
+    assert count_matchings(board) == expect
+    assert sweeps == [(cols, rows)]
+
+
+def test_twisted_boards_keep_their_orientation(monkeypatch):
+    sweeps = []
+    grid_dp = tilings._grid_dp
+    monkeypatch.setattr(tilings, "_grid_dp",
+                        lambda *args: sweeps.append(args[:2]) or grid_dp(*args))
+    assert count_matchings(board_graph("mobius", 6, 4)) == sum(
+        w for _, w in enumerate_matchings(board_graph("mobius", 6, 4)))
+    assert set(sweeps) == {(6, 4)}
 
 
 def test_mobius_counts_known():
