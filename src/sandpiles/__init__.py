@@ -3,7 +3,7 @@
 The package computes recurrent configurations, symmetric recurrents,
 identity elements, and element orders for sandpile grid graphs, and
 cross-verifies the counts against domino-tiling numbers and
-Chebyshev/trigonometric product formulas.  All arithmetic is exact
+Chebyshev/trigonometric product formulas (`checks`).  All arithmetic is exact
 (Python integers): the closed-form products are evaluated as integer
 resultants, with no floating point anywhere.
 """
@@ -32,7 +32,6 @@ from .engine import (
 from .symmetry import (
     GroupAction,
     klein_action,
-    orbits,
     symmetrized_laplacian,
     count_symmetric_recurrents,
     symmetric_config_order,
@@ -41,22 +40,18 @@ from .symmetry import (
     unfold,
 )
 from .formulas import (
-    chebyshev_t,
-    chebyshev_u,
     block_tridiag_det,
     closed_form_count,
     lu_wu_count,
-    characteristic_recurrence,
 )
 from .tilings import (
     count_matchings,
     enumerate_matchings,
-    enumerate_spanning_trees,
-    spanning_tree_weight_sum,
     a_seq,
     pn_embed,
     distance_config,
     diagonal_config,
 )
+from .temperley import enumerate_spanning_trees, spanning_tree_weight_sum
 
 __all__ = [name for name in dir() if not name.startswith("_")]

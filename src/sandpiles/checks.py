@@ -1,0 +1,142 @@
+"""The cross-check chain: every counting method for one grid, and the
+rows of the verification matrix, as plain data.
+
+The symmetric recurrents of a grid are counted by the folded Laplacian
+determinant, by enumeration, by the two closed-form products and by
+weighted domino tilings; `verify_rows` adds the block recurrence (and,
+for even x odd grids, the twisted board and the Lu-Wu product) and the
+staircase checks.  Every value is an exact integer or a boolean.
+"""
+
+from math import gcd
+
+from .blocks import grid_parity, parity_blocks
+from .engine import config_order
+from .formulas import block_tridiag_det, closed_form_count, lu_wu_count
+from .graphs import board_graph, grid_sandpile, p_graph
+from .linalg import det_int
+from .symmetry import (
+    enumerate_symmetric_recurrents,
+    klein_action,
+    symmetric_config_order,
+    symmetrized_laplacian,
+)
+from .tilings import (
+    a_seq,
+    count_matchings,
+    diagonal_config,
+    distance_config,
+    pn_embed,
+)
+
+
+def sym_laplacian(rows, cols):
+    """The rows x cols grid's Laplacian folded by its Klein symmetries."""
+    return symmetrized_laplacian(grid_sandpile(rows, cols), klein_action(rows, cols))
+
+
+def tiling_board(parity, m, n):
+    """The board whose tilings count the symmetric recurrents."""
+    if parity == "even_even":
+        return board_graph("plain", 2 * m, 2 * n)
+    if parity == "even_odd":
+        if n == 1:
+            return board_graph("mobius_weighted", 2 * m - 1, 2)
+        return board_graph("mobius_weighted", 2 * m, 2 * n)
+    return board_graph("two_weighted", 2 * m, 2 * n)
+
+
+def count_methods(rows, cols):
+    """Classify the grid and return (parity, m, n, methods), where
+    methods maps each method name to a thunk computing the count."""
+    parity, m, n, _ = grid_parity(rows, cols)
+
+    def enumerate_count():
+        g = grid_sandpile(rows, cols)
+        return len(enumerate_symmetric_recurrents(g, klein_action(rows, cols)))
+
+    methods = {
+        "det": lambda: det_int(sym_laplacian(rows, cols)),
+        "enumerate": enumerate_count,
+        "product": lambda: closed_form_count(parity, m, n, "product"),
+        "chebyshev": lambda: closed_form_count(parity, m, n, "chebyshev"),
+        "tilings": lambda: count_matchings(tiling_board(parity, m, n)),
+    }
+    return parity, m, n, methods
+
+
+def _grid_row(rows, cols):
+    parity, m, n, methods = count_methods(rows, cols)
+    del methods["enumerate"]  # exponential; the other methods check each other
+    values = {"det": methods.pop("det")(),
+              "block": block_tridiag_det(*parity_blocks(parity, n), m)}
+    values.update((name, fn()) for name, fn in methods.items())
+    if parity == "even_odd":
+        values["mobius"] = count_matchings(board_graph("mobius", 2 * m, 2 * n))
+        values["lu_wu"] = lu_wu_count(m, n)
+    return {"kind": parity, "m": m, "n": n, "rows": rows, "cols": cols,
+            "values": values}
+
+
+def _laplacian_times(g, c):
+    """L c for the reduced Laplacian L of g, read off the edge lists."""
+    return tuple(g.out_degree[v] * c[v] - sum(wt * c[w] for w, wt in out.items())
+                 for v, out in enumerate(g.out))
+
+
+def _phi_check(n):
+    """Laplacian compatibility of the staircase-to-grid unfolding on a
+    deterministic test configuration."""
+    pg = p_graph(n)
+    big = grid_sandpile(2 * n, 2 * n)
+    c = tuple((7 * k + 3) % 5 for k in range(pg.vertex_count))
+    target = list(pn_embed(n, _laplacian_times(pg, c)))
+    for idx, (i, j) in enumerate(big.labels):
+        if i == j or i + j == 2 * n + 1:
+            target[idx] *= 2
+    return list(_laplacian_times(big, pn_embed(n, c))) == target
+
+
+def _staircase_row(n):
+    an = a_seq(n)
+    values = {"a_n": an, "odd": an % 2 == 1}
+    if n <= 5:
+        tilings = count_matchings(board_graph("plain", 2 * n, 2 * n))
+        values["tilings_2n"] = tilings
+        g = gcd(tilings, an**2)
+        values["tilings_over_a_sq"] = (
+            tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
+        values["power_of_two_check"] = tilings == 2**n * an**2
+    order_sq = symmetric_config_order(
+        grid_sandpile(2 * n, 2 * n), klein_action(2 * n, 2 * n),
+        (2,) * (4 * n * n))
+    values["order_two_grid"] = order_sq
+    values["divides_a_n"] = an % order_sq == 0
+    pg = p_graph(n)
+    values["order_two_staircase"] = config_order(pg, (2,) * pg.vertex_count)
+    values["order_transfer"] = values["order_two_staircase"] == order_sq
+    values["distance_maps_to_diagonal"] = (
+        _laplacian_times(pg, distance_config(n)) == diagonal_config(n))
+    values["embedding_compatible"] = _phi_check(n)
+    return {"kind": "staircase", "m": n, "n": n, "values": values}
+
+
+def verify_rows(max_m, max_n):
+    """Yield the verification matrix row by row: one row per parity class
+    for each m <= max_m, n <= max_n, then one staircase row for each
+    n <= min(max_n, 6)."""
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
+            yield _grid_row(2 * m, 2 * n)  # even_even
+            yield _grid_row(2 * m, 2 * n - 1)  # even_odd
+            yield _grid_row(2 * m - 1, 2 * n - 1)  # odd_odd
+    for n in range(1, min(max_n, 6) + 1):
+        yield _staircase_row(n)
+
+
+def row_agrees(row):
+    """A grid row agrees when all its counts are equal, a staircase row
+    when all its boolean checks hold."""
+    if row["kind"] == "staircase":
+        return all(v for v in row["values"].values() if isinstance(v, bool))
+    return len(set(row["values"].values())) == 1

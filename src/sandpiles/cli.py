@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: parses arguments, calls the library (the
+cross-check chain lives in `checks`) and prints its results as JSON.
 
 All commands write JSON to stdout (except PGM file output) and
 diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
@@ -8,60 +9,26 @@ diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
 import argparse
 import json
 import sys
-from math import gcd
 
-from .blocks import grid_parity, parity_blocks
-from .engine import config_order, identity_config
+from . import checks
+from .engine import identity_config
 from .errors import SizeCapError
-from .formulas import block_tridiag_det, closed_form_count, lu_wu_count
-from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
-from .linalg import det_int
-from .symmetry import (
-    enumerate_symmetric_recurrents,
-    klein_action,
-    symmetric_config_order,
-    symmetrized_laplacian,
-)
-from .tilings import a_seq, count_matchings, enumerate_matchings, pn_embed
-from .tilings import diagonal_config, distance_config
+from .graphs import board_graph, grid_sandpile
+from .symmetry import klein_action, symmetric_config_order
+from .tilings import a_seq, count_matchings, enumerate_matchings
 
 EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_SIZE = 0, 1, 2, 3
 
-
-def _sym_laplacian(rows, cols):
-    return symmetrized_laplacian(grid_sandpile(rows, cols), klein_action(rows, cols))
-
-
-def _tiling_board(parity, m, n):
-    """The board whose tilings count the symmetric recurrents."""
-    if parity == "even_even":
-        return board_graph("plain", 2 * m, 2 * n)
-    if parity == "even_odd":
-        if n == 1:
-            return board_graph("mobius_weighted", 2 * m - 1, 2)
-        return board_graph("mobius_weighted", 2 * m, 2 * n)
-    return board_graph("two_weighted", 2 * m, 2 * n)
-
-
-def _count_methods(rows, cols):
-    parity, m, n, transposed = grid_parity(rows, cols)
-
-    def enumerate_count():
-        g = grid_sandpile(rows, cols)
-        return len(enumerate_symmetric_recurrents(g, klein_action(rows, cols)))
-
-    methods = {
-        "det": lambda: det_int(_sym_laplacian(rows, cols)),
-        "enumerate": enumerate_count,
-        "product": lambda: closed_form_count(parity, m, n, "product"),
-        "chebyshev": lambda: closed_form_count(parity, m, n, "chebyshev"),
-        "tilings": lambda: count_matchings(_tiling_board(parity, m, n)),
-    }
-    return parity, m, n, methods
+# perfbench/make_refs.py reads these four names from here; they go once
+# the benchmark change (ROADMAP item 2) points it at `checks`.
+_sym_laplacian = checks.sym_laplacian
+_tiling_board = checks.tiling_board
+_verify_rows = checks.verify_rows
+_row_agrees = checks.row_agrees
 
 
 def cmd_count_symmetric(args):
-    parity, m, n, methods = _count_methods(args.rows, args.cols)
+    parity, m, n, methods = checks.count_methods(args.rows, args.cols)
     if args.method != "all":
         value = methods[args.method]()
         print(json.dumps({"rows": args.rows, "cols": args.cols,
@@ -122,95 +89,21 @@ def cmd_identity(args):
         data = "".join(lines)
     else:
         data = json.dumps(grid) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(data)
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(json.dumps({"rows": args.rows, "cols": args.cols, "out": args.out,
                       "format": args.format}))
     return EXIT_OK
 
 
-def _verify_rows(max_m, max_n):
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            for parity, rows, cols in (
-                ("even_even", 2 * m, 2 * n),
-                ("even_odd", 2 * m, 2 * n - 1),
-                ("odd_odd", 2 * m - 1, 2 * n - 1),
-            ):
-                values = {
-                    "det": det_int(_sym_laplacian(rows, cols)),
-                    "block": block_tridiag_det(*parity_blocks(parity, n), m),
-                    "product": closed_form_count(parity, m, n, "product"),
-                    "chebyshev": closed_form_count(parity, m, n, "chebyshev"),
-                    "tilings": count_matchings(_tiling_board(parity, m, n)),
-                }
-                if parity == "even_odd":
-                    values["mobius"] = count_matchings(
-                        board_graph("mobius", 2 * m, 2 * n))
-                    values["lu_wu"] = lu_wu_count(m, n)
-                yield {"kind": parity, "m": m, "n": n, "rows": rows,
-                       "cols": cols, "values": values}
-
-    for n in range(1, min(max_n, 6) + 1):
-        an = a_seq(n)
-        values = {"a_n": an, "odd": an % 2 == 1}
-        if n <= 5:
-            tilings = count_matchings(board_graph("plain", 2 * n, 2 * n))
-            values["tilings_2n"] = tilings
-            g = gcd(tilings, an**2)
-            values["tilings_over_a_sq"] = (
-                tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
-            values["power_of_two_check"] = tilings == 2**n * an**2
-        order_sq = symmetric_config_order(
-            grid_sandpile(2 * n, 2 * n), klein_action(2 * n, 2 * n),
-            (2,) * (4 * n * n))
-        values["order_two_grid"] = order_sq
-        values["divides_a_n"] = an % order_sq == 0
-        pg = p_graph(n)
-        values["order_two_staircase"] = config_order(
-            pg, (2,) * pg.vertex_count)
-        values["order_transfer"] = values["order_two_staircase"] == order_sq
-        lap = reduced_laplacian(pg)
-        s, t = distance_config(n), diagonal_config(n)
-        values["distance_maps_to_diagonal"] = tuple(
-            sum(row[j] * s[j] for j in range(len(s))) for row in lap
-        ) == t
-        phi_ok = _phi_check(n)
-        values["embedding_compatible"] = phi_ok
-        yield {"kind": "staircase", "m": n, "n": n, "values": values}
-
-
-def _phi_check(n):
-    """Laplacian compatibility of the staircase-to-grid unfolding on a
-    deterministic test configuration."""
-    pg = p_graph(n)
-    big = grid_sandpile(2 * n, 2 * n)
-    c = tuple((7 * k + 3) % 5 for k in range(pg.vertex_count))
-    lap_p = reduced_laplacian(pg)
-    image_p = tuple(sum(row[j] * c[j] for j in range(len(c))) for row in lap_p)
-    lap_g = reduced_laplacian(big)
-    emb = pn_embed(n, c)
-    image_g = tuple(
-        sum(row[j] * emb[j] for j in range(len(emb))) for row in lap_g)
-    target = list(pn_embed(n, image_p))
-    for idx, (i, j) in enumerate(big.labels):
-        if i == j or i + j == 2 * n + 1:
-            target[idx] *= 2
-    return list(image_g) == target
-
-
-def _row_agrees(row):
-    if row["kind"] == "staircase":
-        checks = [v for k, v in row["values"].items()
-                  if isinstance(v, bool)]
-        return all(checks)
-    return len(set(row["values"].values())) == 1
-
-
 def cmd_verify(args):
     ok = True
-    for row in _verify_rows(args.max_m, args.max_n):
-        row["agree"] = _row_agrees(row)
+    for row in checks.verify_rows(args.max_m, args.max_n):
+        row["agree"] = checks.row_agrees(row)
         ok = ok and row["agree"]
         print(json.dumps(row))
         if not row["agree"]:

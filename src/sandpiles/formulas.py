@@ -1,5 +1,5 @@
-"""Chebyshev polynomials, block-tridiagonal determinants, and the
-closed-form symmetric-recurrent counts.
+"""Block-tridiagonal determinants and the closed-form symmetric-recurrent
+counts.
 
 The closed forms are products over the cosine roots of Chebyshev
 polynomials.  Each is evaluated exactly, as the resultant of two integer
@@ -8,9 +8,8 @@ polynomials whose roots are those squared cosines (see
 `det_int` and none depends on the block determinant it cross-checks.
 """
 
-from .blocks import parity_blocks
 from .errors import SizeCapError
-from .linalg import det_int, mat_identity, mat_mul, mat_scale, mat_sub
+from .linalg import det_int, mat_identity, mat_mul, mat_sub
 
 # Largest Sylvester matrix a closed form may eliminate: its cost grows as
 # the cube of the dimension (m + n, the two degrees) in big-integer steps.
@@ -20,8 +19,8 @@ SYLVESTER_DIM_CAP = 128
 class Poly:
     """Integer-coefficient polynomial, lowest degree first.
 
-    Just enough ring arithmetic for the Chebyshev recurrences, so the
-    recurrences can produce coefficient vectors as well as values.
+    Just enough ring arithmetic to build the resultants' polynomials
+    from their two-step Chebyshev recurrences.
     """
 
     def __init__(self, coeffs=(0,)):
@@ -80,48 +79,6 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _is_matrix(x):
-    return isinstance(x, list) and x and isinstance(x[0], list)
-
-
-def chebyshev_t(j, x):
-    """Chebyshev polynomial of the first kind, T_j, evaluated at x.
-
-    x may be a number, a Poly, or a square matrix (list of rows).
-    """
-    if j < 0:
-        raise ValueError("T_j needs j >= 0")
-    if _is_matrix(x):
-        prev, cur = mat_identity(len(x)), [list(r) for r in x]
-        two_x = mat_scale(2, x)
-        for _ in range(j):
-            prev, cur = cur, mat_sub(mat_mul(two_x, cur), prev)
-        return prev
-    one = Poly((1,)) if isinstance(x, Poly) else 1
-    prev, cur = one, x
-    for _ in range(j):
-        prev, cur = cur, 2 * x * cur - prev
-    return prev
-
-
-def chebyshev_u(j, x):
-    """Chebyshev polynomial of the second kind, U_j (U_-1 = 0)."""
-    if j < -1:
-        raise ValueError("U_j needs j >= -1")
-    if _is_matrix(x):
-        n = len(x)
-        prev, cur = mat_scale(0, x), mat_identity(n)
-        two_x = mat_scale(2, x)
-        for _ in range(j + 1):
-            prev, cur = cur, mat_sub(mat_mul(two_x, cur), prev)
-        return prev
-    one = Poly((1,)) if isinstance(x, Poly) else 1
-    prev, cur = 0 * one, one
-    for _ in range(j + 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return prev
-
-
 def block_tridiag_det(a, b, c, m):
     """Determinant of the block-tridiagonal matrix with diagonal blocks
     (A, ..., A, B), off-diagonal -I, and -C in position (m, m-1).
@@ -142,12 +99,6 @@ def block_tridiag_det(a, b, c, m):
         s_prev, s_cur = s_cur, mat_sub(mat_mul(a, s_cur), s_prev)
     t = mat_sub(mat_mul(c, s_prev), mat_mul(b, s_cur))
     return (-1) ** n * det_int(t)
-
-
-def parity_block_det(parity, m, n):
-    """Symmetric-recurrent count via the block determinant."""
-    a, b, c = parity_blocks(parity, n)
-    return block_tridiag_det(a, b, c, m)
 
 
 # --- the closed forms as resultants ---
@@ -240,16 +191,3 @@ def lu_wu_count(m, n):
     """
     p_mu = (-1) ** n * _p_zeta(n)(4 - _Y)
     return _resultant(_p_xi(m), _negated(p_mu))
-
-
-def characteristic_recurrence(parity, n, x):
-    """chi_n(x) with chi_j = (4 - x) chi_{j-1} - chi_{j-2} and seeds
-    chi_0 = 1, chi_1 = 3 - x for even_even; chi_0 = 2, chi_1 = 4 - x
-    otherwise."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if parity == "even_even":
-        return _two_step(1, 3 - x, 4 - x, n)
-    if parity in ("even_odd", "odd_odd"):
-        return _two_step(2, 4 - x, 4 - x, n)
-    raise ValueError(f"unknown parity class {parity!r}")

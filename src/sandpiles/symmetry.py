@@ -101,10 +101,6 @@ class OrbitSet:
                 self.orbit_of[u] = k
 
 
-def orbits(action):
-    return OrbitSet(action)
-
-
 def symmetrized_laplacian(g, action):
     """Orbit-level firing matrix: the entry in row Gw, column Gv is the
     w-component of the sum of the Laplacian rows over the orbit of v.

@@ -1,5 +1,4 @@
-"""Perfect-matching counts, spanning-tree enumeration, and the
-staircase-graph machinery.
+"""Perfect-matching counts and the staircase-graph machinery.
 
 Matching counts on grid-shaped boards use a column-sweep bitmask dynamic
 program over boundary profiles, swept along the longer side of a board
@@ -14,8 +13,6 @@ from .graphs import reduced_laplacian, p_graph
 from .linalg import det_int
 
 ENUM_VERTEX_CAP = 28
-TREE_VERTEX_CAP = 12
-SINK = -1
 
 
 # --- matchings ---
@@ -146,80 +143,6 @@ def enumerate_matchings(board):
 
     rec(1)
     return out
-
-
-# --- spanning trees ---
-
-
-def _tree_choices(g):
-    """Per-vertex (target, weight, tag) choices of a sandpile graph; the
-    tag is the parent itself."""
-    choices = []
-    for v in range(g.vertex_count):
-        opts = [(w, wt, w) for w, wt in sorted(g.out[v].items())]
-        if g.sink_weight[v]:
-            opts.append((SINK, g.sink_weight[v], SINK))
-        choices.append(opts)
-    return choices
-
-
-def _walk_trees(choices, visit):
-    """Enumerate rooted spanning trees as parent assignments.
-
-    choices[v] lists the (target, weight, tag) options of vertex v,
-    with target another vertex index or SINK; tag records which edge
-    was taken.  Every vertex picks one option; acyclicity is checked
-    incrementally by walking the parent chain of each new assignment.
-    visit(tags, weight) sees the chosen tag per vertex.
-    """
-    n = len(choices)
-    if n > TREE_VERTEX_CAP:
-        raise SizeCapError(f"tree enumeration capped at {TREE_VERTEX_CAP} vertices")
-    parent = [None] * n
-    tags = [None] * n
-
-    def rec(v, weight):
-        if v == n:
-            visit(tags, weight)
-            return
-        for w, wt, tag in choices[v]:
-            # does v -> w close a cycle through already-assigned vertices?
-            u = w
-            while u != SINK and parent[u] is not None:
-                u = parent[u]
-                if u == v:
-                    break
-            if u == v:
-                continue
-            parent[v], tags[v] = w, tag
-            rec(v + 1, weight * wt)
-            parent[v] = None
-
-    rec(0, 1)
-
-
-def enumerate_spanning_trees(g):
-    """All spanning trees rooted at the sink, as (parents, weight) pairs.
-
-    parents maps each vertex index to its parent (SINK for sink edges);
-    the weight is the product of the chosen edge weights.
-    """
-    out = []
-    _walk_trees(_tree_choices(g), lambda parent, w: out.append((tuple(parent), w)))
-    return out
-
-
-def spanning_tree_weight_sum(g):
-    """Sum of spanning-tree weights by direct enumeration (the
-    matrix-tree oracle; does not materialize the trees)."""
-    total = 0
-
-    def visit(parent, w):
-        nonlocal total
-        total += w
-
-    _walk_trees(_tree_choices(g), visit)
-    return total
 
 
 # --- staircase graphs ---

@@ -93,6 +93,16 @@ def test_identity_pgm_stable_bytes(capsys, tmp_path):
     assert data.startswith(b"P2\n4 4\n3\n")
 
 
+def test_identity_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.pgm"
+    code, stdout, err = run_cli(capsys, "identity", "--rows", "2", "--cols",
+                                "2", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and str(out) in err
+    assert not out.exists()
+
+
 def test_count_tilings_tall_strip(capsys):
     code, out, _ = run_cli(capsys, "count-tilings", "--rows", "40",
                            "--cols", "2")
@@ -121,7 +131,7 @@ def test_verify_prints_an_exact_ratio_when_the_power_check_fails(
         capsys, monkeypatch):
     from sandpiles.tilings import a_seq
 
-    monkeypatch.setattr("sandpiles.cli.a_seq", lambda n: a_seq(n) + 2)
+    monkeypatch.setattr("sandpiles.checks.a_seq", lambda n: a_seq(n) + 2)
     code, out, _ = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "1")
     assert code == 1
     rows = [json.loads(line, parse_float=pytest.fail)
@@ -162,7 +172,7 @@ def test_product_16x16_is_exact(capsys, monkeypatch):
     def unused(rows, cols):
         raise AssertionError("the symmetrized Laplacian was built")
 
-    monkeypatch.setattr("sandpiles.cli._sym_laplacian", unused)
+    monkeypatch.setattr("sandpiles.checks.sym_laplacian", unused)
     code, out, err = run_cli(capsys, "count-symmetric", "--rows", "16",
                              "--cols", "16", "--method", "product")
     assert code == 0

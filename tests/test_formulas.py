@@ -2,8 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sandpiles import formulas
 from sandpiles.blocks import (
@@ -15,67 +13,30 @@ from sandpiles.blocks import (
 from sandpiles.errors import SizeCapError
 from sandpiles.formulas import (
     SYLVESTER_DIM_CAP,
-    Poly,
     block_tridiag_det,
-    characteristic_recurrence,
-    chebyshev_t,
-    chebyshev_u,
     closed_form_count,
     lu_wu_count,
-    parity_block_det,
 )
 from sandpiles.linalg import det_int
 
 
-def test_chebyshev_t_small():
-    x = Poly.x()
-    assert chebyshev_t(0, x) == Poly((1,))
-    assert chebyshev_t(1, x) == x
-    assert chebyshev_t(2, x) == Poly((-1, 0, 2))
-    assert chebyshev_t(3, x) == Poly((0, -3, 0, 4))
-    assert chebyshev_t(4, 1) == 1
-    assert chebyshev_t(5, -1) == -1
-
-
-def test_chebyshev_u_small():
-    x = Poly.x()
-    assert chebyshev_u(-1, x) == Poly((0,))
-    assert chebyshev_u(0, x) == Poly((1,))
-    assert chebyshev_u(1, x) == Poly((0, 2))
-    assert chebyshev_u(2, x) == Poly((-1, 0, 4))
-    assert chebyshev_u(3, 1) == 4
-
-
-@given(st.integers(0, 10), st.floats(-1, 1))
-@settings(max_examples=100)
-def test_chebyshev_t_cosine_identity(j, c):
-    theta = math.acos(c)
-    assert chebyshev_t(j, c) == pytest.approx(math.cos(j * theta), abs=1e-9)
-
-
-@given(st.integers(0, 8), st.fractions(min_value=-3, max_value=3))
-@settings(max_examples=60)
-def test_chebyshev_pell_identity(j, x):
-    # T_j^2 - (x^2 - 1) U_{j-1}^2 = 1
-    t = chebyshev_t(j, x)
-    u = chebyshev_u(j - 1, x)
-    assert t * t - (x * x - 1) * u * u == 1
-
-
-def test_chebyshev_matrix_argument():
-    m = [[2, 1], [1, 2]]
-    expect = chebyshev_t(3, Poly.x())
-    coeffs = expect.coeffs
-    # evaluate the polynomial on the matrix by hand
-    from sandpiles.linalg import mat_identity, mat_mul, mat_scale
-
-    acc = mat_scale(0, m)
-    power = mat_identity(2)
-    for c in coeffs:
-        term = mat_scale(c, power)
-        acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, term)]
-        power = mat_mul(power, m)
-    assert chebyshev_t(3, m) == acc
+def test_resultant_polynomials_have_the_cosine_roots():
+    # The closed forms are resultants against P_xi,d and P_zeta,d; each
+    # must be monic of degree d with the squared cosines as its roots.
+    # Expanding prod (y - root) in floats recovers the integer
+    # coefficients to well within 1/2 for every d here.
+    for d in range(1, 11):
+        for poly, angle in (
+            (formulas._p_xi(d), lambda h: h * math.pi / (2 * d + 1)),
+            (formulas._p_zeta(d), lambda h: (2 * h - 1) * math.pi / (4 * d)),
+        ):
+            expanded = [1.0]
+            for h in range(1, d + 1):
+                root = 4 * math.cos(angle(h)) ** 2
+                expanded = [a - root * b for a, b in
+                            zip([0.0] + expanded, expanded + [0.0])]
+            assert len(poly.coeffs) == d + 1 and poly.coeffs[-1] == 1
+            assert list(poly.coeffs) == pytest.approx(expanded, abs=1e-6)
 
 
 @pytest.mark.parametrize("parity", PARITIES)
@@ -85,7 +46,6 @@ def test_block_det_matches_assembled_matrix(parity, m, n):
     a, b, c = parity_blocks(parity, n)
     assembled = assemble_block_tridiag(a, b, c, m)
     assert block_tridiag_det(a, b, c, m) == det_int(assembled)
-    assert parity_block_det(parity, m, n) == det_int(assembled)
 
 
 def test_block_det_rejects_bad_shapes():
@@ -114,7 +74,7 @@ def test_closed_form_anchors(parity, m, n, expect):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_closed_forms_match_determinant(parity, m, n):
-    expect = parity_block_det(parity, m, n)
+    expect = block_tridiag_det(*parity_blocks(parity, n), m)
     assert closed_form_count(parity, m, n, "product") == expect
     assert closed_form_count(parity, m, n, "chebyshev") == expect
 
@@ -125,7 +85,7 @@ def test_closed_forms_match_determinant(parity, m, n):
 def test_closed_forms_match_determinant_on_large_grids(rows, cols):
     # far past 2^53, where a float product can no longer be rounded back
     parity, m, n, _ = grid_parity(rows, cols)
-    expect = parity_block_det(parity, m, n)
+    expect = block_tridiag_det(*parity_blocks(parity, n), m)
     assert expect.bit_length() > 53
     assert closed_form_count(parity, m, n, "product") == expect
     assert closed_form_count(parity, m, n, "chebyshev") == expect
@@ -158,7 +118,7 @@ def test_lu_wu_anchors():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lu_wu_equals_even_odd_count(m, n):
-    assert lu_wu_count(m, n) == parity_block_det("even_odd", m, n)
+    assert lu_wu_count(m, n) == block_tridiag_det(*parity_blocks("even_odd", n), m)
 
 
 @pytest.mark.parametrize("parity", PARITIES)
@@ -169,7 +129,17 @@ def test_characteristic_recurrence_is_shifted_block_det(parity, n):
         shifted = [[a[i][j] - (x if i == j else 0) for j in range(n)]
                    for i in range(n)]
         expect = _fraction_det(shifted)
-        assert characteristic_recurrence(parity, n, x) == expect
+        assert _characteristic_recurrence(parity, n, x) == expect
+
+
+def _characteristic_recurrence(parity, n, x):
+    """det(A - x I) for the parity class's A block, by the recurrence
+    chi_j = (4 - x) chi_{j-1} - chi_{j-2} with seeds chi_0 = 1,
+    chi_1 = 3 - x for even_even and chi_0 = 2, chi_1 = 4 - x otherwise."""
+    prev, cur = (1, 3 - x) if parity == "even_even" else (2, 4 - x)
+    for _ in range(n):
+        prev, cur = cur, (4 - x) * cur - prev
+    return prev
 
 
 def _fraction_det(mat):

@@ -13,7 +13,6 @@ from sandpiles import (
     grid_sandpile,
     identity_config,
     klein_action,
-    orbits,
     reduced_laplacian,
     stabilize,
     symmetric_config_order,
@@ -22,6 +21,7 @@ from sandpiles import (
 )
 from sandpiles.errors import SymmetryError
 from sandpiles.linalg import det_int
+from sandpiles.symmetry import OrbitSet
 
 # one grid per parity class, both orientations of even x odd, and the
 # degenerate shapes on which some Klein elements coincide
@@ -30,7 +30,7 @@ GRIDS = [(4, 6), (4, 5), (5, 4), (5, 7), (1, 5), (1, 6), (5, 1), (6, 1), (2, 2)]
 
 def dense_symmetrized_laplacian(g, action):
     """The definition: entry (Gw, Gv) sums lap[u][w] over u in the orbit of v."""
-    oset = orbits(action)
+    oset = OrbitSet(action)
     lap = reduced_laplacian(g)
     return [[sum(lap[u][w] for u in orb) for orb in oset.orbits]
             for w in oset.representatives]
@@ -78,9 +78,9 @@ def test_klein_action_preserves_grid():
 
 
 def test_orbit_counts():
-    assert len(orbits(klein_action(4, 4)).orbits) == 4
-    assert len(orbits(klein_action(3, 3)).orbits) == 4
-    assert len(orbits(klein_action(2, 3)).orbits) == 2
+    assert len(OrbitSet(klein_action(4, 4)).orbits) == 4
+    assert len(OrbitSet(klein_action(3, 3)).orbits) == 4
+    assert len(OrbitSet(klein_action(2, 3)).orbits) == 2
 
 
 def test_symmetrized_laplacian_triangle(triangle, triangle_swap):
@@ -181,7 +181,7 @@ def test_symmetric_config_order_matches_unfolded(rows, cols, fill):
 def test_symmetric_config_order_random_symmetric(shape, values):
     rows, cols = shape
     act = klein_action(rows, cols)
-    k = len(orbits(act).orbits)
+    k = len(OrbitSet(act).orbits)
     c = unfold(act, values[:k])
     g = grid_sandpile(rows, cols)
     assert symmetric_config_order(g, act, c) == config_order(g, c)
