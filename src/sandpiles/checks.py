@@ -100,13 +100,12 @@ def _phi_check(n):
 def _staircase_row(n):
     an = a_seq(n)
     values = {"a_n": an, "odd": an % 2 == 1}
-    if n <= 5:
-        tilings = count_matchings(board_graph("plain", 2 * n, 2 * n))
-        values["tilings_2n"] = tilings
-        g = gcd(tilings, an**2)
-        values["tilings_over_a_sq"] = (
-            tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
-        values["power_of_two_check"] = tilings == 2**n * an**2
+    tilings = count_matchings(board_graph("plain", 2 * n, 2 * n))
+    values["tilings_2n"] = tilings
+    g = gcd(tilings, an**2)
+    values["tilings_over_a_sq"] = (
+        tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
+    values["power_of_two_check"] = tilings == 2**n * an**2
     order_sq = symmetric_config_order(
         grid_sandpile(2 * n, 2 * n), klein_action(2 * n, 2 * n),
         (2,) * (4 * n * n))
@@ -124,13 +123,13 @@ def _staircase_row(n):
 def verify_rows(max_m, max_n):
     """Yield the verification matrix row by row: one row per parity class
     for each m <= max_m, n <= max_n, then one staircase row for each
-    n <= min(max_n, 6)."""
+    n <= max_n."""
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
             yield _grid_row(2 * m, 2 * n)  # even_even
             yield _grid_row(2 * m, 2 * n - 1)  # even_odd
             yield _grid_row(2 * m - 1, 2 * n - 1)  # odd_odd
-    for n in range(1, min(max_n, 6) + 1):
+    for n in range(1, max_n + 1):
         yield _staircase_row(n)
 
 

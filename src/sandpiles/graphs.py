@@ -235,6 +235,8 @@ def board_graph(kind, rows, cols):
             u, v = (h, 1), (rows - h + 1, cols)
             if u == v:
                 raise ValueError("degenerate wrap edge on this board size")
+            if cols == 1 and v < u:
+                continue  # on one column, h and rows - h + 1 give one pair
             key = (u, v) if u < v else (v, u)
             edges[key] = edges.get(key, 0) + 1
     elif kind == "mobius_weighted":

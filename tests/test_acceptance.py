@@ -208,7 +208,7 @@ def test_criterion_8_property_suites(triangle):
             direct = enumerate_matchings(fam.h_graph())
             assert len(images) == len(direct)
 
-    # tiling DP against brute-force enumeration on every board kind
+    # Kasteleyn tiling counts against brute-force enumeration on every board kind
     for kind in ("plain", "mobius", "mobius_weighted", "two_weighted"):
         for rows in range(1, 7):
             for cols in range(1, 7):

@@ -127,6 +127,15 @@ def test_verify_all_agree(capsys):
     assert kinds == {"even_even", "even_odd", "odd_odd", "staircase"}
 
 
+def test_verify_staircase_rows_reach_max_n(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "7")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    staircase = [r for r in rows if r["kind"] == "staircase"]
+    assert [r["n"] for r in staircase] == list(range(1, 8))
+    assert all(r["values"]["power_of_two_check"] is True for r in staircase)
+
+
 def test_verify_prints_an_exact_ratio_when_the_power_check_fails(
         capsys, monkeypatch):
     from sandpiles.tilings import a_seq

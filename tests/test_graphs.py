@@ -128,6 +128,10 @@ def test_board_mobius_wrap_edges():
     # 1x2 board: the wrap edge doubles the existing grid edge
     tiny = board_graph("mobius", 1, 2)
     assert tiny.edges[((1, 1), (1, 2))] == 2
+    # one column: h and rows - h + 1 name the same wrap pair, added once
+    column = board_graph("mobius", 4, 1)
+    assert column.edges[((1, 1), (4, 1))] == 1
+    assert column.edges[((2, 1), (3, 1))] == 2
 
 
 def test_board_mobius_degenerate():

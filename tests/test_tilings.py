@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (
@@ -11,6 +11,7 @@ from sandpiles import (
     enumerate_matchings,
     enumerate_spanning_trees,
     grid_sandpile,
+    lu_wu_count,
     p_graph,
     pn_embed,
     reduced_laplacian,
@@ -20,6 +21,7 @@ from sandpiles import tilings
 from sandpiles.errors import SizeCapError
 from sandpiles.graphs import MatchGraph
 from sandpiles.linalg import det_int
+from sandpiles.temperley import EmbeddedFamily
 
 
 FIBONACCI_STRIP = [1, 1, 2, 3, 5, 8, 13, 21]  # 2 x n tiling counts
@@ -44,7 +46,8 @@ def test_odd_board_has_no_tilings():
 
 @pytest.mark.parametrize("kind", ["plain", "mobius", "mobius_weighted",
                                   "two_weighted"])
-@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 4), (4, 2), (4, 4), (2, 6)])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 4), (4, 2), (4, 4), (2, 6),
+                                       (6, 2), (6, 4)])
 def test_dp_matches_enumeration(kind, rows, cols):
     board = board_graph(kind, rows, cols)
     assert count_matchings(board) == sum(
@@ -53,41 +56,66 @@ def test_dp_matches_enumeration(kind, rows, cols):
 
 def test_dp_matches_enumeration_odd_rows():
     for kind, rows, cols in [("plain", 3, 4), ("mobius", 3, 4),
-                             ("mobius_weighted", 3, 4), ("mobius_weighted", 3, 2)]:
+                             ("mobius_weighted", 3, 4), ("mobius_weighted", 3, 2),
+                             ("plain", 9, 2), ("mobius_weighted", 7, 4)]:
         board = board_graph(kind, rows, cols)
         assert count_matchings(board) == sum(
             w for _, w in enumerate_matchings(board))
 
 
-@pytest.mark.parametrize("kind,rows,cols", [
-    ("plain", 9, 2), ("two_weighted", 6, 4), ("mobius_weighted", 7, 4),
-    ("mobius_weighted", 6, 2),
-])
-def test_tall_boards_sweep_the_short_side(kind, rows, cols, monkeypatch):
-    board = board_graph(kind, rows, cols)
-    _, _, unit, _ = tilings._grid_structure(board)
-    expect = tilings._grid_dp(rows, cols, unit, set())  # untransposed sweep
-    sweeps = []
-    grid_dp = tilings._grid_dp
-    monkeypatch.setattr(tilings, "_grid_dp",
-                        lambda *args: sweeps.append(args[:2]) or grid_dp(*args))
-    assert count_matchings(board) == expect
-    assert sweeps == [(cols, rows)]
-
-
-def test_twisted_boards_keep_their_orientation(monkeypatch):
-    sweeps = []
-    grid_dp = tilings._grid_dp
-    monkeypatch.setattr(tilings, "_grid_dp",
-                        lambda *args: sweeps.append(args[:2]) or grid_dp(*args))
-    assert count_matchings(board_graph("mobius", 6, 4)) == sum(
-        w for _, w in enumerate_matchings(board_graph("mobius", 6, 4)))
-    assert set(sweeps) == {(6, 4)}
-
-
 def test_mobius_counts_known():
     assert count_matchings(board_graph("mobius", 4, 4)) == 71
     assert count_matchings(board_graph("mobius", 2, 4)) == 7
+    assert count_matchings(board_graph("mobius", 12, 12)) == lu_wu_count(6, 6) \
+        == 341133743251787719
+    # one column: each wrap pair once
+    assert count_matchings(board_graph("mobius", 2, 1)) == 2
+    assert count_matchings(board_graph("mobius", 4, 1)) == 3
+
+
+@st.composite
+def lattice_subgraphs(draw):
+    """A lattice graph of at most 20 cells with cells and edges dropped
+    at random and edge weights 1-3."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 20 // rows))
+    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)
+             if draw(st.integers(0, 5))]
+    assume(cells)
+    kept = set(cells)
+    edges = {}
+    for r, c in cells:
+        for v in ((r, c + 1), (r + 1, c)):
+            w = draw(st.integers(0, 3)) if v in kept else 0
+            if w:
+                edges[((r, c), v)] = w
+    return MatchGraph(cells, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_subgraphs())
+def test_kasteleyn_matches_enumeration(board):
+    assert count_matchings(board) == sum(w for _, w in enumerate_matchings(board))
+
+
+def test_disconnected_board_with_an_octagonal_face():
+    # A ring around a missing centre has one face of length 8, where the
+    # Kasteleyn signs fail; the separate domino makes E - V + 1 equal the
+    # (zero) number of unit squares, so only the component term catches it.
+    ring = [(r, c) for r in range(1, 4) for c in range(1, 4) if (r, c) != (2, 2)]
+    cells = ring + [(1, 5), (1, 6)]
+    edges = {(u, v): 1 for u in cells for v in cells
+             if u < v and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1}
+    board = MatchGraph(cells, edges)
+    assert tilings._kasteleyn(board.vertices, board.edges) == 0
+    assert count_matchings(board) == 2
+
+
+@pytest.mark.parametrize("kind,m,n", [("D", 6, 6), ("Dprime", 6, 6),
+                                      ("Ddoubleprime", 6, 6), ("P", 8, 8)])
+def test_temperley_overlays_count_by_determinant(kind, m, n):
+    fam = EmbeddedFamily(kind, m, n)
+    assert count_matchings(fam.h_graph()) == det_int(reduced_laplacian(fam.graph))
 
 
 def test_enumeration_weights():
@@ -95,6 +123,7 @@ def test_enumeration_weights():
     b = MatchGraph([(1, 1), (1, 2)], {((1, 1), (1, 2)): 2})
     assert enumerate_matchings(b) == [([((1, 1), (1, 2))], 2)]
     assert count_matchings(b) == 2
+    assert count_matchings(MatchGraph([], {})) == 1  # the empty matching
 
 
 def test_enumeration_cap():
