@@ -14,7 +14,6 @@ from .graphs import (
     SandpileGraph,
     MatchGraph,
     grid_sandpile,
-    d_family,
     p_graph,
     board_graph,
     reduced_laplacian,
@@ -32,6 +31,7 @@ from .engine import (
 from .symmetry import (
     GroupAction,
     klein_action,
+    d_family,
     symmetrized_laplacian,
     count_symmetric_recurrents,
     symmetric_config_order,

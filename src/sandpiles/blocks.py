@@ -14,7 +14,7 @@ entries -1, and A'_n has diagonal all 4 and off-diagonal -1 except for a
 replaced by 3.
 """
 
-from .linalg import mat_identity, mat_scale, mat_sub, mat_zero
+from .linalg import mat_identity, mat_scale, mat_sub
 
 PARITIES = ("even_even", "even_odd", "odd_odd")
 
@@ -65,37 +65,6 @@ def parity_blocks(parity, n):
         a = mat_a_prime(n)
         return a, a, mat_scale(2, mat_identity(n))
     raise ValueError(f"unknown parity class {parity!r}")
-
-
-def assemble_block_tridiag(a, b, c, m):
-    """Assemble the full mn x mn block-tridiagonal matrix.
-
-    Diagonal blocks are A except for a final B; the super- and
-    sub-diagonal blocks are -I except for -C in position (m, m-1).
-    For m = 1 the matrix is just B.
-    """
-    n = len(a)
-    if m == 1:
-        return [list(row) for row in b]
-    neg_i = mat_scale(-1, mat_identity(n))
-    neg_c = mat_scale(-1, c)
-    zero = mat_zero(n)
-    out = []
-    for bi in range(m):
-        rows = [[None] * m for _ in range(n)]
-        for bj in range(m):
-            if bi == bj:
-                blk = b if bi == m - 1 else a
-            elif bj == bi + 1:
-                blk = neg_i
-            elif bj == bi - 1:
-                blk = neg_c if bi == m - 1 else neg_i
-            else:
-                blk = zero
-            for r in range(n):
-                rows[r][bj] = blk[r]
-        out.extend([x for part in row for x in part] for row in rows)
-    return out
 
 
 def grid_parity(rows, cols):

@@ -7,8 +7,6 @@ displayed forms entry for entry.
 
 from collections import deque
 
-from .blocks import assemble_block_tridiag, parity_blocks
-
 
 class SandpileGraph:
     """Weighted directed multigraph with a distinguished sink.
@@ -82,21 +80,6 @@ class SandpileGraph:
     def weight(self, u_label, v_label):
         return self.out[self.index[u_label]].get(self.index[v_label], 0)
 
-    def to_json_dict(self):
-        labels = [list(lab) if isinstance(lab, tuple) else lab for lab in self.labels]
-        sink_edges = [
-            [labels[u], self.sink_weight[u]]
-            for u in range(self.vertex_count)
-            if self.sink_weight[u]
-        ]
-        edges = []
-        for u in range(self.vertex_count):
-            for v, w in sorted(self.out[u].items()):
-                if self.undirected and v < u:
-                    continue
-                edges.append([labels[u], labels[v], w])
-        return {"labels": labels, "sink_edges": sink_edges, "edges": edges}
-
 
 class MatchGraph:
     """Undirected edge-weighted graph with planar grid coordinates."""
@@ -123,12 +106,6 @@ class MatchGraph:
             adj[v].append((u, w))
         return adj
 
-    def to_json_dict(self):
-        return {
-            "vertices": [list(v) for v in self.vertices],
-            "edges": [[list(u), list(v), w] for (u, v), w in sorted(self.edges.items())],
-        }
-
 
 def grid_sandpile(m, n):
     """The m x n sandpile grid graph: every non-sink vertex has degree 4.
@@ -153,38 +130,6 @@ def grid_sandpile(m, n):
         if deg < 4:
             sink[(i, j)] = 4 - deg
     return SandpileGraph(labels, edges, sink, undirected=True)
-
-
-_D_PARITY = {"D": "even_even", "Dprime": "even_odd", "Ddoubleprime": "odd_odd"}
-
-
-def d_family(kind, m, n):
-    """Folded quotient graphs whose reduced Laplacians are the block
-    matrices of the symmetric-recurrent counts.
-
-    D is undirected (a grid with a weight-2 sink edge at the corner);
-    Dprime and Ddoubleprime are directed, with weight-2 edges pointing
-    back toward the sink side from the folded middle column (Dprime) and
-    additionally from the folded middle row (Ddoubleprime).
-    """
-    if kind not in _D_PARITY:
-        raise ValueError(f"unknown family kind {kind!r}")
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    a, b, c = parity_blocks(_D_PARITY[kind], n)
-    mat = assemble_block_tridiag(a, b, c, m)
-    labels = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    edges = {}
-    sink = {}
-    for ui, u in enumerate(labels):
-        row_sum = 0
-        for vi, v in enumerate(labels):
-            if ui != vi and mat[ui][vi]:
-                edges[(u, v)] = -mat[ui][vi]
-            row_sum += mat[ui][vi]
-        if row_sum:
-            sink[u] = row_sum
-    return SandpileGraph(labels, edges, sink, undirected=(kind == "D"))
 
 
 def p_graph(n):

@@ -17,7 +17,8 @@ spanning tree grown from the unbounded face.
 from collections import deque
 
 from .errors import SizeCapError
-from .graphs import MatchGraph, d_family, p_graph
+from .graphs import MatchGraph, p_graph
+from .symmetry import d_family
 
 FS = "outer"  # the unbounded face
 TREE_VERTEX_CAP = 12
@@ -118,8 +119,8 @@ class EmbeddedFamily:
     def __init__(self, kind, m, n):
         self.kind, self.m, self.n = kind, m, n
         if kind in ("D", "Dprime", "Ddoubleprime"):
-            self._build_folded(kind, m, n)
             self.graph = d_family(kind, m, n)
+            self._build_folded(kind, m, n)
         elif kind == "P":
             self._build_staircase(m if n is None else n)
             self.graph = p_graph(self.n)
@@ -141,22 +142,16 @@ class EmbeddedFamily:
             raise ValueError("planar embedding of Ddoubleprime needs m, n >= 2")
         self.vertex_node = {(i, j): (2 * i, 2 * j) for i in range(1, m + 1)
                             for j in range(1, n + 1)}
-        edges = []
-        for i in range(1, m + 1):
-            for j in range(1, n - 1):
-                edges.append(EmbeddedEdge((2 * i, 2 * j + 1),
-                                          [((i, j), 1), ((i, j + 1), 1)]))
-            if n >= 2:
-                # rightmost horizontal pair; weighted toward the sink side
-                # for the directed families
-                w_in = 2 if kind in ("Dprime", "Ddoubleprime") else 1
-                edges.append(EmbeddedEdge((2 * i, 2 * n - 1),
-                                          [((i, n - 1), 1), ((i, n), w_in)]))
-        for i in range(1, m):
-            for j in range(1, n + 1):
-                w_up = 2 if kind == "Ddoubleprime" and i == m - 1 else 1
-                edges.append(EmbeddedEdge((2 * i + 1, 2 * j),
-                                          [((i, j), 1), ((i + 1, j), w_up)]))
+        weight = self.graph.weight
+
+        def pair(node, u, v):
+            # both directed weights of the grid edge u - v, one embedded edge
+            return EmbeddedEdge(node, [(u, weight(u, v)), (v, weight(v, u))])
+
+        edges = [pair((2 * i, 2 * j + 1), (i, j), (i, j + 1))
+                 for i in range(1, m + 1) for j in range(1, n)]
+        edges += [pair((2 * i + 1, 2 * j), (i, j), (i + 1, j))
+                  for i in range(1, m) for j in range(1, n + 1)]
         for i in range(1, m + 1):  # sink edges leaving left
             edges.append(EmbeddedEdge((2 * i, 1), [((i, 1), 1), (None, 0)]))
         for j in range(1, n + 1):  # sink edges leaving top
@@ -281,10 +276,3 @@ class EmbeddedFamily:
             matched.append((f, self.edges[ei].node))
         return sorted(tuple(sorted(e)) for e in matched), weight
 
-
-def temperley_matching(kind, m, n, tree):
-    return EmbeddedFamily(kind, m, n).temperley_matching(tree)
-
-
-def h_graph(kind, m, n):
-    return EmbeddedFamily(kind, m, n).h_graph()

@@ -5,8 +5,9 @@ a Kasteleyn determinant |det K| (Kasteleyn 1961; Temperley-Fisher 1961):
 K is the black x white biadjacency matrix, +w on horizontal edges and
 (-1)^col w on vertical ones, which is valid when every bounded face is a
 unit square.  Twisted (wrap-edge) boards sum that count over all seam
-subsets.  Any other small graph falls back to recursive enumeration,
-which doubles as the oracle for the determinant in the tests.
+subsets, up to SEAM_WRAP_CAP wrap edges.  Any other small graph falls
+back to recursive enumeration, which doubles as the oracle for the
+determinant in the tests.
 """
 
 from math import prod
@@ -16,6 +17,7 @@ from .graphs import reduced_laplacian, p_graph
 from .linalg import det_int
 
 ENUM_VERTEX_CAP = 28
+SEAM_WRAP_CAP = 16  # a twisted board costs 2^wraps determinants
 
 
 # --- matchings ---
@@ -72,7 +74,13 @@ def _faces_are_unit_squares(cells, unit):
 def _kasteleyn(cells, unit):
     """Weighted perfect-matching count |det K| of the lattice graph on
     cells (unit edges with an endpoint outside cells are ignored), whose
-    bounded faces must all be unit squares."""
+    bounded faces must all be unit squares.
+
+    Cells are numbered along the longer side (column-major when they
+    span more columns than rows), so K has a band of about the shorter
+    side and the elimination stays cheap on long thin boards."""
+    if len({c for _, c in cells}) > len({r for r, _ in cells}):
+        cells = sorted(cells, key=lambda v: (v[1], v[0]))
     black = {v: i for i, v in enumerate(v for v in cells if sum(v) % 2 == 0)}
     white = {v: i for i, v in enumerate(v for v in cells if sum(v) % 2)}
     if len(black) != len(white):
@@ -95,6 +103,9 @@ def count_matchings(board):
     split = _grid_structure(board)
     if split is not None and _faces_are_unit_squares(board.vertices, split[0]):
         unit, wraps = split
+        if len(wraps) > SEAM_WRAP_CAP:
+            raise SizeCapError(
+                f"{len(wraps)} wrap edges exceed the seam cap {SEAM_WRAP_CAP}")
         # Each pass removes cells of the first and last columns, which lie
         # on the outer face, so the remaining faces stay unit squares.
         total = 0

@@ -201,6 +201,18 @@ def test_product_beyond_sylvester_cap_exits_3(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_mobius_beyond_seam_cap_exits_3(capsys, monkeypatch):
+    def unused(cells, unit):
+        raise AssertionError("a seam pass was run")
+
+    monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
+    code, out, err = run_cli(capsys, "count-tilings", "--board", "mobius",
+                             "--rows", "40", "--cols", "4")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
 def test_count_symmetric_all_methods_agree_12x12(capsys):
     code, out, _ = run_cli(capsys, "count-symmetric", "--rows", "12",
                            "--cols", "12", "--method", "all")

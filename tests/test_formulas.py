@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sandpiles import formulas
-from sandpiles.blocks import (
-    PARITIES,
-    assemble_block_tridiag,
-    grid_parity,
-    parity_blocks,
-)
+from sandpiles import checks, formulas
+from sandpiles.blocks import PARITIES, grid_parity, parity_blocks
 from sandpiles.errors import SizeCapError
 from sandpiles.formulas import (
     SYLVESTER_DIM_CAP,
@@ -43,9 +38,12 @@ def test_resultant_polynomials_have_the_cosine_roots():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_block_det_matches_assembled_matrix(parity, m, n):
-    a, b, c = parity_blocks(parity, n)
-    assembled = assemble_block_tridiag(a, b, c, m)
-    assert block_tridiag_det(a, b, c, m) == det_int(assembled)
+    # the folded grid Laplacian, built from the grid's edges and not from
+    # the blocks
+    rows, cols = {"even_even": (2 * m, 2 * n), "even_odd": (2 * m, 2 * n - 1),
+                  "odd_odd": (2 * m - 1, 2 * n - 1)}[parity]
+    assert (block_tridiag_det(*parity_blocks(parity, n), m)
+            == det_int(checks.sym_laplacian(rows, cols)))
 
 
 def test_block_det_rejects_bad_shapes():

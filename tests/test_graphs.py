@@ -10,7 +10,7 @@ from sandpiles import (
     reduced_laplacian,
 )
 from sandpiles.blocks import (
-    assemble_block_tridiag,
+    PARITIES,
     grid_parity,
     mat_a,
     mat_a_prime,
@@ -63,10 +63,38 @@ def test_blocks_small():
     assert mat_b_prime(2) == [[3, -1], [-2, 3]]
 
 
-def test_assemble_block_tridiag_layout():
-    a, b, c = parity_blocks("even_even", 1)
-    assert assemble_block_tridiag(a, b, c, 2) == [[3, -1], [-1, 2]]
-    assert assemble_block_tridiag(a, b, c, 1) == [[2]]
+GRID_OF = {"even_even": lambda m, n: (2 * m, 2 * n),
+           "even_odd": lambda m, n: (2 * m, 2 * n - 1),
+           "odd_odd": lambda m, n: (2 * m - 1, 2 * n - 1)}
+
+
+def test_folded_grid_is_block_tridiagonal():
+    # the folded Laplacian, cut into n x n blocks, has A on the diagonal
+    # and B last, -I beside it, -C at (m, m-1), and zeros elsewhere
+    from sandpiles.checks import sym_laplacian
+
+    for parity in PARITIES:
+        for m in range(1, 5):
+            for n in range(1, 4):
+                a, b, c = parity_blocks(parity, n)
+                neg_i = [[-(i == j) for j in range(n)] for i in range(n)]
+                neg_c = [[-x for x in row] for row in c]
+                zero = [[0] * n for _ in range(n)]
+                sym = sym_laplacian(*GRID_OF[parity](m, n))
+                assert len(sym) == m * n
+                for bi in range(m):
+                    for bj in range(m):
+                        block = [row[bj * n:(bj + 1) * n]
+                                 for row in sym[bi * n:(bi + 1) * n]]
+                        if bi == bj:
+                            expect = b if bi == m - 1 else a
+                        elif (bi, bj) == (m - 1, m - 2):
+                            expect = neg_c
+                        elif abs(bi - bj) == 1:
+                            expect = neg_i
+                        else:
+                            expect = zero
+                        assert block == expect, (parity, m, n, bi, bj)
 
 
 def test_grid_parity_classification():
@@ -165,11 +193,3 @@ def test_match_graph_merges_parallel_edges():
     assert g.edges == {((1, 1), (1, 2)): 3}
     with pytest.raises(ValueError):
         MatchGraph([(1, 1)], {((1, 1), (1, 1)): 1})
-
-
-def test_json_round_shapes():
-    d = grid_sandpile(2, 2).to_json_dict()
-    assert set(d) == {"labels", "sink_edges", "edges"}
-    assert [[1, 1], 2] in d["sink_edges"]
-    b = board_graph("plain", 2, 2).to_json_dict()
-    assert set(b) == {"vertices", "edges"}

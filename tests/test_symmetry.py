@@ -21,7 +21,6 @@ from sandpiles import (
 )
 from sandpiles.errors import SymmetryError
 from sandpiles.linalg import det_int
-from sandpiles.symmetry import OrbitSet
 
 # one grid per parity class, both orientations of even x odd, and the
 # degenerate shapes on which some Klein elements coincide
@@ -30,10 +29,9 @@ GRIDS = [(4, 6), (4, 5), (5, 4), (5, 7), (1, 5), (1, 6), (5, 1), (6, 1), (2, 2)]
 
 def dense_symmetrized_laplacian(g, action):
     """The definition: entry (Gw, Gv) sums lap[u][w] over u in the orbit of v."""
-    oset = OrbitSet(action)
     lap = reduced_laplacian(g)
-    return [[sum(lap[u][w] for u in orb) for orb in oset.orbits]
-            for w in oset.representatives]
+    return [[sum(lap[u][w] for u in orb) for orb in action.orbits]
+            for w in action.representatives]
 
 
 def directed_pair():
@@ -47,6 +45,21 @@ def directed_pair():
         undirected=False,
     )
     return graph, GroupAction([(0, 1, 2), (1, 0, 2)])
+
+
+def directed_grid(rows, cols):
+    """The rows x cols grid with weight 2 on each edge pointing toward
+    the centre, and 4 - degree to the sink: directed, and fixed by the
+    Klein action, which preserves the distance to the centre."""
+    def dist(i, j):
+        return abs(2 * i - rows - 1) + abs(2 * j - cols - 1)
+
+    grid = grid_sandpile(rows, cols)
+    labels = grid.labels
+    edges = {(labels[u], labels[v]): 1 + (dist(*labels[v]) < dist(*labels[u]))
+             for u, out in enumerate(grid.out) for v in out}
+    sink = {labels[u]: w for u, w in enumerate(grid.sink_weight) if w}
+    return SandpileGraph(labels, edges, sink, undirected=False)
 
 
 def test_group_action_requires_identity():
@@ -78,9 +91,14 @@ def test_klein_action_preserves_grid():
 
 
 def test_orbit_counts():
-    assert len(OrbitSet(klein_action(4, 4)).orbits) == 4
-    assert len(OrbitSet(klein_action(3, 3)).orbits) == 4
-    assert len(OrbitSet(klein_action(2, 3)).orbits) == 2
+    assert len(klein_action(4, 4).orbits) == 4
+    assert len(klein_action(3, 3).orbits) == 4
+    assert len(klein_action(2, 3).orbits) == 2
+    # orbits in the order of their least members, which represent them
+    act = klein_action(3, 4)
+    assert act.orbits[:2] == [[0, 3, 8, 11], [1, 2, 9, 10]]
+    assert act.representatives == [0, 1, 4, 5]
+    assert [act.orbit_of[v] for v in (11, 2, 7, 6)] == [0, 1, 2, 3]
 
 
 def test_symmetrized_laplacian_triangle(triangle, triangle_swap):
@@ -181,7 +199,7 @@ def test_symmetric_config_order_matches_unfolded(rows, cols, fill):
 def test_symmetric_config_order_random_symmetric(shape, values):
     rows, cols = shape
     act = klein_action(rows, cols)
-    k = len(OrbitSet(act).orbits)
+    k = len(act.orbits)
     c = unfold(act, values[:k])
     g = grid_sandpile(rows, cols)
     assert symmetric_config_order(g, act, c) == config_order(g, c)
@@ -202,10 +220,24 @@ def test_symmetric_config_order_rejects_asymmetric():
         symmetric_config_order(g, klein_action(4, 4), (2,) * 17)
 
 
-def test_symmetric_config_order_rejects_directed():
+def test_symmetric_config_order_directed_matches_unfolded():
+    # the symmetrized Laplacian is the fold of L^T, the matrix that
+    # config_order solves against, so directed graphs fold as well
     g, act = directed_pair()
-    with pytest.raises(ValueError):
-        symmetric_config_order(g, act, (1, 1, 1))
+    for a in range(6):
+        for c in range(6):
+            config = (a, a, c)
+            assert symmetric_config_order(g, act, config) == config_order(g, config)
+
+
+@given(st.sampled_from([(3, 4), (4, 4), (4, 5), (5, 5), (1, 6)]),
+       st.lists(st.integers(-3, 7), min_size=9, max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_symmetric_config_order_directed_grids(shape, values):
+    g, act = directed_grid(*shape), klein_action(*shape)
+    assert not g.undirected
+    c = unfold(act, values[:len(act.orbits)])
+    assert symmetric_config_order(g, act, c) == config_order(g, c)
 
 
 def test_symmetric_config_order_pinned_all_twos():

@@ -118,6 +118,18 @@ def test_temperley_overlays_count_by_determinant(kind, m, n):
     assert count_matchings(fam.h_graph()) == det_int(reduced_laplacian(fam.graph))
 
 
+def test_wide_boards_number_cells_along_the_longer_side(monkeypatch):
+    # row-major numbering would put vertical neighbours about cols/2 apart
+    seen = []
+    monkeypatch.setattr(tilings, "det_int", lambda k: seen.append(k) or det_int(k))
+    wide, tall = board_graph("plain", 4, 40), board_graph("plain", 40, 4)
+    assert count_matchings(wide) == count_matchings(tall)
+    k = seen[0]
+    assert len(k) == 80
+    assert max(abs(i - j) for i, row in enumerate(k)
+               for j, x in enumerate(row) if x) <= 4
+
+
 def test_enumeration_weights():
     # single weighted edge: one matching of weight 2
     b = MatchGraph([(1, 1), (1, 2)], {((1, 1), (1, 2)): 2})
