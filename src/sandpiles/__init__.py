@@ -35,6 +35,7 @@ from .symmetry import (
     symmetrized_laplacian,
     count_symmetric_recurrents,
     symmetric_config_order,
+    symmetric_identity,
     enumerate_symmetric_recurrents,
     fold,
     unfold,

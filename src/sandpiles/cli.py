@@ -11,10 +11,9 @@ import json
 import sys
 
 from . import checks
-from .engine import identity_config
 from .errors import SizeCapError
 from .graphs import board_graph, grid_sandpile
-from .symmetry import klein_action, symmetric_config_order
+from .symmetry import klein_action, symmetric_config_order, symmetric_identity
 from .tilings import a_seq, count_matchings, enumerate_matchings
 
 EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_SIZE = 0, 1, 2, 3
@@ -81,7 +80,7 @@ def cmd_order(args):
 
 def cmd_identity(args):
     g = grid_sandpile(args.rows, args.cols)
-    e = identity_config(g)
+    e = symmetric_identity(g, klein_action(args.rows, args.cols))
     grid = [list(e[r * args.cols:(r + 1) * args.cols]) for r in range(args.rows)]
     if args.format == "pgm":
         lines = [f"P2\n{args.cols} {args.rows}\n3\n"]

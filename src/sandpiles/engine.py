@@ -1,4 +1,11 @@
-"""Core sandpile dynamics: stabilization, recurrence, identity, orders."""
+"""Core sandpile dynamics: stabilization, recurrence, identity, orders.
+
+One toppling kernel, `_topple`, runs on any firing system: a threshold
+per vertex and, per vertex, the grains each target gains when it fires.
+A sandpile graph is the system (out_degree, out); `symmetry` builds the
+folded system of a group action, whose vertices are orbits, and runs the
+same kernel, burning test and identity formula on it.
+"""
 
 import os
 from collections import deque
@@ -28,38 +35,60 @@ def burning_config(g):
     return tuple(g.sink_weight)
 
 
-def stabilize(g, c):
-    """Stabilize c, returning (stable config, firing vector).
+def _topple(thresholds, out, c):
+    """Stabilize c on a firing system, returning (stable config, firing
+    vector).
 
-    Uses a work queue with batch firing: an unstable vertex fires
-    floor(c_v / outdeg_v) times at once.  The result is independent of
-    the processing order (abelian property); batching is purely speed.
+    Firing v takes thresholds[v] grains from v and adds out[v][w] grains
+    to each w; out[v] may name v itself (a folded system, where firing
+    an orbit feeds its own representative).  Off a work queue, an
+    unstable vertex fires floor(c_v / threshold_v) times at once, a legal
+    run since no firing takes more than threshold_v from v or any sand
+    from another vertex; the result is independent of the processing
+    order (abelian property), so batching is purely speed.
     """
-    n = g.vertex_count
-    if len(c) != n:
-        raise ValueError("configuration has wrong length")
-    if any(x < 0 for x in c):
-        raise ValueError("configuration must be non-negative")
     amts = list(c)
-    deg = g.out_degree
-    out = g.out
+    n = len(amts)
     fire = [0] * n
-    queue = deque(v for v in range(n) if amts[v] >= deg[v])
-    queued = [amts[v] >= deg[v] for v in range(n)]
+    queued = [a >= t for a, t in zip(amts, thresholds)]
+    queue = deque(v for v in range(n) if queued[v])
     while queue:
         v = queue.popleft()
         queued[v] = False
-        k = amts[v] // deg[v]
+        k = amts[v] // thresholds[v]
         if k <= 0:
             continue
         fire[v] += k
-        amts[v] -= k * deg[v]
+        amts[v] -= k * thresholds[v]
         for w, wt in out[v].items():
             amts[w] += k * wt
-            if amts[w] >= deg[w] and not queued[w]:
+            if amts[w] >= thresholds[w] and not queued[w]:
                 queued[w] = True
                 queue.append(w)
     return tuple(amts), tuple(fire)
+
+
+def _burns(thresholds, out, c, beta):
+    """Burning test on a firing system: c + beta stabilizes to c with
+    every vertex having fired."""
+    res, fire = _topple(thresholds, out, [x + b for x, b in zip(c, beta)])
+    return res == tuple(c) and all(f >= 1 for f in fire)
+
+
+def _identity(thresholds, out):
+    """(c_max + (c_max - (2 c_max)o))o on a firing system."""
+    twice = [2 * (t - 1) for t in thresholds]
+    stab = _topple(thresholds, out, twice)[0]
+    return _topple(thresholds, out, [t - s for t, s in zip(twice, stab)])[0]
+
+
+def stabilize(g, c):
+    """Stabilize c, returning (stable config, firing vector)."""
+    if len(c) != g.vertex_count:
+        raise ValueError("configuration has wrong length")
+    if any(x < 0 for x in c):
+        raise ValueError("configuration must be non-negative")
+    return _topple(g.out_degree, g.out, c)
 
 
 def is_stable(g, c):
@@ -74,9 +103,7 @@ def is_recurrent(g, c):
         raise ValueError("recurrence test is defined for undirected graphs")
     if not is_stable(g, c):
         raise ValueError("recurrence test requires a stable configuration")
-    b = burning_config(g)
-    res, fire = stabilize(g, tuple(x + y for x, y in zip(c, b)))
-    return res == tuple(c) and all(f >= 1 for f in fire)
+    return _burns(g.out_degree, g.out, c, burning_config(g))
 
 
 def stable_add(g, a, b):
@@ -85,12 +112,11 @@ def stable_add(g, a, b):
 
 
 def identity_config(g):
-    """The recurrent representative of 0: (c_max + (c_max - (2 c_max)o))o."""
-    cmax = max_stable(g)
-    twice = tuple(2 * x for x in cmax)
-    stab = stabilize(g, twice)[0]
-    leftover = tuple(t - s for t, s in zip(twice, stab))
-    return stabilize(g, leftover)[0]
+    """The recurrent representative of 0: (c_max + (c_max - (2 c_max)o))o.
+
+    The general path; `symmetry.symmetric_identity` computes the same
+    configuration on the orbit system of a group action."""
+    return _identity(g.out_degree, g.out)
 
 
 def enumerate_recurrents(g):

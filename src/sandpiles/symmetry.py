@@ -1,9 +1,21 @@
-"""Group actions on sandpile graphs and the symmetrized reduced Laplacian."""
+"""Group actions on sandpile graphs and the folded (orbit) system.
+
+A configuration fixed by a group action is one value per orbit.  The
+folded firing system has one vertex per orbit: firing orbit Gv fires
+every member of Gv once, which is a legal run of topplings because a
+firing takes sand from no other vertex.  Its threshold is the
+representative's out-degree, and the representative w of each orbit
+gains the total weight of the edges from Gv's members into w (orbit
+mates of w included).  The symmetrized Laplacian is this system as a
+matrix; determinants, element orders, the identity and the burning
+tests of symmetric configurations all run on it, with about N/4
+unknowns for the Klein action on an N-vertex grid.
+"""
 
 from itertools import product
 from math import gcd, prod
 
-from .engine import _enum_cap, is_recurrent
+from .engine import _burns, _enum_cap, _identity, burning_config
 from .errors import SizeCapError, SymmetryError
 from .graphs import SandpileGraph, grid_sandpile
 from .linalg import det_int, solve_int
@@ -92,26 +104,42 @@ def klein_action(m, n):
     )
 
 
+def _folded_system(g, action):
+    """The firing system on orbits: (thresholds, out) with
+    thresholds[Gw] = out_degree[w] and out[Gv][Gw] the weight of the
+    edges from the members of Gv into the representative w.
+
+    Exact on every automorphism group: the members of an orbit share
+    their out-degree, and by symmetry every member of Gw gains what w
+    gains, so the system follows the unfolded one orbit by orbit.
+    """
+    action.validate_weights(g)
+    reps, orbit_of = action.representatives, action.orbit_of
+    out = [{} for _ in reps]
+    for u, edges in enumerate(g.out):
+        gains = out[orbit_of[u]]
+        for w, wt in edges.items():
+            row = orbit_of[w]
+            if reps[row] == w:
+                gains[row] = gains.get(row, 0) + wt
+    return [g.out_degree[w] for w in reps], out
+
+
 def symmetrized_laplacian(g, action):
     """Orbit-level firing matrix: the entry in row Gw, column Gv is the
     w-component of the sum of the Laplacian rows over the orbit of v.
 
-    Built from the out-edges, so only the k x k orbit matrix is stored:
-    row Gw starts as out_degree[w] in w's own column, and every edge
-    u -> w into a representative w takes its weight off column Gu.
+    Read off the folded system, so only the k x k orbit matrix is
+    stored: row Gw has out_degree[w] in w's own column, less the weight
+    every orbit gives w when it fires.
     """
-    action.validate_weights(g)
-    reps, orbit_of = action.representatives, action.orbit_of
-    out = [[0] * len(reps) for _ in reps]
-    for row, w in enumerate(reps):
-        out[row][row] = g.out_degree[w]
-    for u, edges in enumerate(g.out):
-        col = orbit_of[u]
-        for w, wt in edges.items():
-            row = orbit_of[w]
-            if reps[row] == w:
-                out[row][col] -= wt
-    return out
+    thresholds, out = _folded_system(g, action)
+    sym = [[0] * len(thresholds) for _ in thresholds]
+    for col, gains in enumerate(out):
+        sym[col][col] += thresholds[col]
+        for row, wt in gains.items():
+            sym[row][col] -= wt
+    return sym
 
 
 def d_family(kind, m, n):
@@ -180,22 +208,33 @@ def unfold(action, o):
     return tuple(o[k] for k in action.orbit_of)
 
 
-def enumerate_symmetric_recurrents(g, action):
-    """All recurrent configurations fixed by every group element.
+def symmetric_identity(g, action):
+    """The identity of g's sandpile group, as `engine.identity_config`,
+    computed on the folded system of an action that preserves g.
 
-    Iterates over the folded (orbit) space, so the cap applies to the
-    number of symmetric stable configurations rather than all of them.
+    The identity is fixed by every automorphism, and so are 2 c_max and
+    the leftover of its stabilization, so both stabilizations topple
+    orbits; only the result is unfolded.
     """
-    action.validate_weights(g)
-    degs = [g.out_degree[r] for r in action.representatives]
-    total = prod(degs)
+    return unfold(action, _identity(*_folded_system(g, action)))
+
+
+def enumerate_symmetric_recurrents(g, action):
+    """All recurrent configurations fixed by every group element, in the
+    lexicographic order of their orbit vectors.
+
+    Iterates over the folded (orbit) space and runs each burning test on
+    the folded system, so the cap applies to the number of symmetric
+    stable configurations rather than all of them.  Like
+    `engine.is_recurrent`, refuses directed graphs.
+    """
+    thresholds, out = _folded_system(g, action)
+    beta = fold(action, burning_config(g))
+    total = prod(thresholds)
     if total > _enum_cap():
         raise SizeCapError(
             f"{total} symmetric stable configurations exceeds cap {_enum_cap()}"
         )
-    found = []
-    for o in product(*(range(d) for d in degs)):
-        c = tuple(o[k] for k in action.orbit_of)
-        if is_recurrent(g, c):
-            found.append(c)
-    return found
+    return [unfold(action, o)
+            for o in product(*(range(t) for t in thresholds))
+            if _burns(thresholds, out, o, beta)]

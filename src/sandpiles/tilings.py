@@ -5,9 +5,9 @@ a Kasteleyn determinant |det K| (Kasteleyn 1961; Temperley-Fisher 1961):
 K is the black x white biadjacency matrix, +w on horizontal edges and
 (-1)^col w on vertical ones, which is valid when every bounded face is a
 unit square.  Twisted (wrap-edge) boards sum that count over all seam
-subsets, up to SEAM_WRAP_CAP wrap edges.  Any other small graph falls
-back to recursive enumeration, which doubles as the oracle for the
-determinant in the tests.
+subsets, when the estimated work is within SEAM_WORK_CAP.  Any other
+small graph falls back to recursive enumeration, which doubles as the
+oracle for the determinant in the tests.
 """
 
 from math import prod
@@ -17,7 +17,9 @@ from .graphs import reduced_laplacian, p_graph
 from .linalg import det_int
 
 ENUM_VERTEX_CAP = 28
-SEAM_WRAP_CAP = 16  # a twisted board costs 2^wraps determinants
+# A twisted board costs 2^wraps determinants, each about cells x side^2
+# bignum updates (side the shorter side, K's band); 12x12 is 8.5e7.
+SEAM_WORK_CAP = 10**8
 
 
 # --- matchings ---
@@ -103,9 +105,13 @@ def count_matchings(board):
     split = _grid_structure(board)
     if split is not None and _faces_are_unit_squares(board.vertices, split[0]):
         unit, wraps = split
-        if len(wraps) > SEAM_WRAP_CAP:
-            raise SizeCapError(
-                f"{len(wraps)} wrap edges exceed the seam cap {SEAM_WRAP_CAP}")
+        if wraps:
+            side = min(len({r for r, _ in board.vertices}),
+                       len({c for _, c in board.vertices}))
+            work = 2 ** len(wraps) * len(board.vertices) * side**2
+            if work > SEAM_WORK_CAP:
+                raise SizeCapError(f"{len(wraps)} wrap edges on {len(board.vertices)} "
+                                   f"cells: seam work {work} exceeds {SEAM_WORK_CAP}")
         # Each pass removes cells of the first and last columns, which lie
         # on the outer face, so the remaining faces stay unit squares.
         total = 0

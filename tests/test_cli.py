@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from sandpiles import grid_sandpile, identity_config
 from sandpiles.cli import main
 
 
@@ -101,6 +103,39 @@ def test_identity_unwritable_out_is_a_usage_error(capsys, tmp_path):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and str(out) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,cols,fmt,digest", [
+    (33, 32, "pgm", "eb28fa2626e9f2469ccdc8f63d01e9a17376cd9e1b972d69e255567c984d4eb9"),
+    (33, 32, "json", "e06e508a64252b23ab3f4cd1ca4f768d3c601fa5b32aca52a40977520503182a"),
+    (5, 5, "pgm", "3a8375c5c101d90440c32144940b2e2918326a641b22c5ccd3b12474484978ee"),
+    (5, 5, "json", "1f0c1a301f61ba828463d93b9c1fdfec83d147131dd725f77286a8885c221a68"),
+    (4, 4, "pgm", "09c26f208917910344964a28f654328352ae74452dea53c79f7506e3b1c5eb51"),
+    (4, 4, "json", "229e80557d233759d6843beddd38a5141c91f061b1cc6bbd99a21056943da009"),
+])
+def test_identity_bytes_are_pinned(capsys, tmp_path, rows, cols, fmt, digest):
+    # the digests are of the images the unfolded identity_config renders
+    out = tmp_path / f"e.{fmt}"
+    code, stdout, _ = run_cli(capsys, "identity", "--rows", str(rows), "--cols",
+                              str(cols), "--out", str(out), "--format", fmt)
+    assert code == 0
+    assert json.loads(stdout) == {"rows": rows, "cols": cols, "out": str(out),
+                                  "format": fmt}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if fmt == "json":
+        flat = [x for row in json.loads(out.read_text()) for x in row]
+        assert tuple(flat) == identity_config(grid_sandpile(rows, cols))
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 5), (8, 4), (4, 6)])
+def test_count_symmetric_enumerate_matches_det(capsys, rows, cols):
+    values = []
+    for method in ("enumerate", "det"):
+        code, out, _ = run_cli(capsys, "count-symmetric", "--rows", str(rows),
+                               "--cols", str(cols), "--method", method)
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1]
 
 
 def test_count_tilings_tall_strip(capsys):
@@ -208,6 +243,20 @@ def test_mobius_beyond_seam_cap_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
     code, out, err = run_cli(capsys, "count-tilings", "--board", "mobius",
                              "--rows", "40", "--cols", "4")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+def test_mobius_beyond_seam_work_cap_exits_3(capsys, monkeypatch):
+    # 16 wrap edges, within the old cap of 16, but 2^16 passes over 256
+    # cells of band 16 took about 98 s
+    def unused(cells, unit):
+        raise AssertionError("a seam pass was run")
+
+    monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
+    code, out, err = run_cli(capsys, "count-tilings", "--board", "mobius",
+                             "--rows", "16", "--cols", "16")
     assert code == 3
     assert out == ""
     assert "cap" in err

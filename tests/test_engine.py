@@ -18,26 +18,46 @@ from sandpiles import (
     stabilize,
     stable_add,
 )
-from sandpiles.engine import is_stable
+from sandpiles.engine import _topple, is_stable
 from sandpiles.errors import SizeCapError
 
 from conftest import TRIANGLE_RECURRENTS
 
 
-def naive_stabilize(g, c, rng):
+def naive_topple(thresholds, out, c, rng):
     """Fire one unstable vertex at a time in a random order (the oracle
-    for the batched work-queue implementation)."""
+    for the batched work-queue kernel)."""
     amts = list(c)
-    fire = [0] * g.vertex_count
+    fire = [0] * len(amts)
     while True:
-        unstable = [v for v in range(g.vertex_count) if amts[v] >= g.out_degree[v]]
+        unstable = [v for v, t in enumerate(thresholds) if amts[v] >= t]
         if not unstable:
             return tuple(amts), tuple(fire)
         v = rng.choice(unstable)
-        amts[v] -= g.out_degree[v]
+        amts[v] -= thresholds[v]
         fire[v] += 1
-        for w, wt in g.out[v].items():
+        for w, wt in out[v].items():
             amts[w] += wt
+
+
+def naive_stabilize(g, c, rng):
+    return naive_topple(g.out_degree, g.out, c, rng)
+
+
+@st.composite
+def firing_systems(draw):
+    """A dissipative firing system whose vertices may feed themselves,
+    as the orbits of a folded system do, and a configuration on it."""
+    n = draw(st.integers(1, 4))
+    thresholds = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    out = []
+    for t in thresholds:
+        gains = draw(st.lists(st.integers(0, t - 1), min_size=n, max_size=n))
+        while sum(gains) >= t:  # each firing loses at least one grain
+            gains[gains.index(max(gains))] -= 1
+        out.append({w: x for w, x in enumerate(gains) if x})
+    c = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    return thresholds, out, c
 
 
 @given(st.lists(st.integers(0, 12), min_size=6, max_size=6),
@@ -47,6 +67,22 @@ def test_stabilize_is_order_independent(c, seed):
     g = grid_sandpile(2, 3)
     expect = naive_stabilize(g, c, random.Random(seed))
     assert stabilize(g, tuple(c)) == expect
+
+
+@given(firing_systems(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_topple_with_self_gains_is_order_independent(system, seed):
+    # batches of k = c_v // threshold_v firings stay legal, and a vertex
+    # that feeds itself is queued again while it is still unstable
+    thresholds, out, c = system
+    expect = naive_topple(thresholds, out, c, random.Random(seed))
+    assert _topple(thresholds, out, c) == expect
+
+
+def test_topple_refires_a_vertex_that_feeds_itself():
+    # threshold 4 and 3 grains back per firing: each firing loses one
+    # grain, so 9 grains take 6 firings (the first batch of 2 leaves 7)
+    assert _topple([4], [{0: 3}], [9]) == ((3,), (6,))
 
 
 def test_stabilize_fixed_point(triangle):

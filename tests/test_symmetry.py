@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +14,19 @@ from sandpiles import (
     fold,
     grid_sandpile,
     identity_config,
+    is_recurrent,
     klein_action,
     reduced_laplacian,
     stabilize,
     symmetric_config_order,
+    symmetric_identity,
     symmetrized_laplacian,
     unfold,
 )
+from sandpiles.engine import _topple
 from sandpiles.errors import SymmetryError
 from sandpiles.linalg import det_int
+from sandpiles.symmetry import _folded_system
 
 # one grid per parity class, both orientations of even x odd, and the
 # degenerate shapes on which some Klein elements coincide
@@ -174,6 +180,74 @@ def test_identity_is_symmetric():
         act = klein_action(rows, cols)
         e = identity_config(g)
         fold(act, e)  # must not raise
+
+
+# every parity class: 1 x 1, the lines 1 x n and n x 1 (two Klein
+# elements coincide), even rows (the two middle rows form one orbit and
+# are adjacent, so an orbit feeds itself), odd x odd (a size-1 centre
+# orbit), both orientations, up to 33 x 33
+IDENTITY_GRIDS = [(1, 1), (1, 6), (1, 7), (6, 1), (7, 1), (2, 2), (2, 3),
+                  (3, 2), (3, 3), (4, 4), (4, 5), (5, 4), (5, 5), (6, 9),
+                  (9, 8), (9, 9), (16, 16), (17, 16), (33, 32), (32, 33),
+                  (33, 33)]
+
+
+@pytest.mark.parametrize("rows,cols", IDENTITY_GRIDS)
+def test_symmetric_identity_matches_unfolded(rows, cols):
+    g = grid_sandpile(rows, cols)
+    assert symmetric_identity(g, klein_action(rows, cols)) == identity_config(g)
+
+
+def test_symmetric_identity_triangle_and_directed(triangle, triangle_swap):
+    assert symmetric_identity(triangle, triangle_swap) == identity_config(triangle)
+    g, act = directed_pair()
+    assert symmetric_identity(g, act) == identity_config(g)
+    for shape in [(4, 4), (5, 5), (4, 7), (6, 1)]:
+        g = directed_grid(*shape)
+        assert symmetric_identity(g, klein_action(*shape)) == identity_config(g)
+
+
+@given(st.sampled_from([(4, 4), (4, 5), (5, 5), (3, 6), (1, 7), (2, 2), (6, 6)]),
+       st.booleans(),
+       st.lists(st.integers(0, 40), min_size=9, max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_folded_stabilization_is_the_fold_of_stabilize(shape, directed, values):
+    g = directed_grid(*shape) if directed else grid_sandpile(*shape)
+    act = klein_action(*shape)
+    o = values[:len(act.orbits)]
+    stable, fire = stabilize(g, unfold(act, o))
+    assert _topple(*_folded_system(g, act), o) == (fold(act, stable), fold(act, fire))
+
+
+def symmetric_recurrents_by_filter(g, act):
+    """The unfolded oracle: every symmetric stable configuration, in the
+    order of its orbit vector, kept when `is_recurrent` accepts it."""
+    degs = [g.out_degree[r] for r in act.representatives]
+    return [unfold(act, o) for o in product(*(range(d) for d in degs))
+            if is_recurrent(g, unfold(act, o))]
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3),
+                                       (3, 3), (3, 4), (4, 4), (5, 3), (5, 4),
+                                       (6, 3), (6, 4), (4, 6)])
+def test_folded_burning_matches_unfolded_filter(rows, cols):
+    g, act = grid_sandpile(rows, cols), klein_action(rows, cols)
+    found = enumerate_symmetric_recurrents(g, act)
+    assert found == symmetric_recurrents_by_filter(g, act)
+    assert len(found) == count_symmetric_recurrents(g, act)
+
+
+def test_folded_burning_matches_unfolded_filter_triangle(triangle, triangle_swap):
+    assert (enumerate_symmetric_recurrents(triangle, triangle_swap)
+            == symmetric_recurrents_by_filter(triangle, triangle_swap))
+
+
+def test_symmetric_recurrents_refuse_directed_graphs():
+    g, act = directed_pair()
+    with pytest.raises(ValueError):
+        enumerate_symmetric_recurrents(g, act)
+    with pytest.raises(ValueError):
+        enumerate_symmetric_recurrents(directed_grid(3, 4), klein_action(3, 4))
 
 
 def test_stabilization_commutes_with_action():
