@@ -63,12 +63,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):

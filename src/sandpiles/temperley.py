@@ -5,16 +5,23 @@ Spanning trees are enumerated by brute force, capped at
 `TREE_VERTEX_CAP` vertices: the matrix-tree oracle in the tests, and the
 trees the bijection maps.
 
-Each family instance is embedded with hard-coded lattice coordinates:
-primal vertices, one node per embedded edge, and one node per bounded
-face interleave on an integer lattice, so that the overlay graph H is
-itself a grid (or staircase) board.  A rooted spanning tree then maps to
-a perfect matching of H by matching every tree edge node to its tail
-vertex and every remaining edge node to a bounded face via the dual
-spanning tree grown from the unbounded face.
+Each family instance is embedded as one lattice region plus its graph.
+D, Dprime and Ddoubleprime use the 2m x 2n rectangle with vertex (i, j)
+at (2i, 2j); the staircase P_n uses {(r, c): 1 <= c <= r <= 2n, r odd or
+c < r} with vertex (i, j) at (2i - 1, 2j - 1).  Every other point is
+read off by parity: a point between two vertex points is their edge,
+weighted both ways by the graph; a point beside one vertex point is a
+weight-1 sink edge; a point of the remaining parity is a bounded face.
+An edge's two faces are its two neighbours of face parity, the unbounded
+face FS where that neighbour lies outside the region.  The overlay graph
+H is the region itself, a grid (or staircase) board.  A rooted spanning
+tree then maps to a perfect matching of H by matching every tree edge
+node to its tail vertex and every remaining edge node to a bounded face
+via the dual spanning tree grown from the unbounded face.
 """
 
 from collections import deque
+from math import prod
 
 from .errors import SizeCapError
 from .graphs import MatchGraph, p_graph
@@ -96,133 +103,74 @@ def spanning_tree_weight_sum(g):
     return total
 
 
-class EmbeddedEdge:
-    __slots__ = ("node", "ends")
-
-    def __init__(self, node, ends):
-        # ends: list of (vertex label or None for the sink, weight out of
-        # that endpoint); directed pairs embedded as one coincident edge
-        # carry two distinct weights.
-        self.node = node
-        self.ends = ends
-
-    def weight_from(self, u):
-        for v, w in self.ends:
-            if v == u:
-                return w
-        raise KeyError(u)
-
-
 class EmbeddedFamily:
-    """A planar-embedded family instance with its overlay lattice."""
+    """A planar-embedded family instance with its overlay lattice.
+
+    `edges` maps each edge node to {end label: weight out of that end};
+    `edge_faces` maps it to its two faces."""
 
     def __init__(self, kind, m, n):
         self.kind, self.m, self.n = kind, m, n
-        if kind in ("D", "Dprime", "Ddoubleprime"):
-            self.graph = d_family(kind, m, n)
-            self._build_folded(kind, m, n)
-        elif kind == "P":
-            self._build_staircase(m if n is None else n)
-            self.graph = p_graph(self.n)
+        if kind == "P":
+            if m != n:
+                raise ValueError(f"the staircase P_n needs m == n, got {m} and {n}")
+            self.graph = p_graph(n)
+            region = {(r, c) for r in range(1, 2 * n + 1) for c in range(1, r + 1)
+                      if r % 2 or c < r}
+            offset = 1
         else:
-            raise ValueError(f"unknown family kind {kind!r}")
-        self.vertex_node = dict(self.vertex_node)
-        self.edge_of_vertex = {}  # label -> [(edge index, weight)]
-        for ei, e in enumerate(self.edges):
-            for u, w in e.ends:
-                if u is not None and w > 0:
-                    self.edge_of_vertex.setdefault(u, []).append((ei, w))
-
-    # -- folded grid families --
-
-    def _build_folded(self, kind, m, n):
-        if kind == "Dprime" and n < 2:
-            raise ValueError("planar embedding of Dprime needs n >= 2")
-        if kind == "Ddoubleprime" and (m < 2 or n < 2):
-            raise ValueError("planar embedding of Ddoubleprime needs m, n >= 2")
-        self.vertex_node = {(i, j): (2 * i, 2 * j) for i in range(1, m + 1)
-                            for j in range(1, n + 1)}
+            if kind == "Dprime" and n < 2:
+                raise ValueError("planar embedding of Dprime needs n >= 2")
+            if kind == "Ddoubleprime" and (m < 2 or n < 2):
+                raise ValueError("planar embedding of Ddoubleprime needs m, n >= 2")
+            self.graph = d_family(kind, m, n)
+            region = {(r, c) for r in range(1, 2 * m + 1) for c in range(1, 2 * n + 1)}
+            offset = 0
+        self.vertex_node = {(i, j): (2 * i - offset, 2 * j - offset)
+                            for i, j in self.graph.labels}
+        at = {p: u for u, p in self.vertex_node.items()}
         weight = self.graph.weight
-
-        def pair(node, u, v):
-            # both directed weights of the grid edge u - v, one embedded edge
-            return EmbeddedEdge(node, [(u, weight(u, v)), (v, weight(v, u))])
-
-        edges = [pair((2 * i, 2 * j + 1), (i, j), (i, j + 1))
-                 for i in range(1, m + 1) for j in range(1, n)]
-        edges += [pair((2 * i + 1, 2 * j), (i, j), (i + 1, j))
-                  for i in range(1, m) for j in range(1, n + 1)]
-        for i in range(1, m + 1):  # sink edges leaving left
-            edges.append(EmbeddedEdge((2 * i, 1), [((i, 1), 1), (None, 0)]))
-        for j in range(1, n + 1):  # sink edges leaving top
-            edges.append(EmbeddedEdge((1, 2 * j), [((1, j), 1), (None, 0)]))
-        self.edges = edges
-        self.faces = [(2 * i - 1, 2 * j - 1) for i in range(1, m + 1)
-                      for j in range(1, n + 1)]
-        face_set = set(self.faces)
-        self._face_at = lambda p: p if p in face_set else FS
-        self._face_parity_neighbors = lambda r, c: ((r - 1, c), (r + 1, c)) \
-            if r % 2 == 0 and c % 2 == 1 else ((r, c - 1), (r, c + 1))
-
-    # -- staircase family --
-
-    def _build_staircase(self, n):
-        self.n = n
-        self.vertex_node = {(i, j): (2 * i - 1, 2 * j - 1)
-                            for i in range(1, n + 1) for j in range(1, i + 1)}
-        edges = []
-        for i in range(1, n):
-            for j in range(1, i + 1):
-                edges.append(EmbeddedEdge((2 * i, 2 * j - 1),
-                                          [((i, j), 1), ((i + 1, j), 1)]))
-        for i in range(1, n + 1):
-            for j in range(1, i):
-                edges.append(EmbeddedEdge((2 * i - 1, 2 * j),
-                                          [((i, j), 1), ((i, j + 1), 1)]))
-        for j in range(1, n + 1):
-            edges.append(EmbeddedEdge((2 * n, 2 * j - 1), [((n, j), 1), (None, 0)]))
-        self.edges = edges
-        self.faces = [(2 * i, 2 * j) for i in range(1, n + 1)
-                      for j in range(1, i)]
-        face_set = set(self.faces)
-        self._face_at = lambda p: p if p in face_set else FS
-        self._face_parity_neighbors = lambda r, c: ((r - 1, c), (r + 1, c)) \
-            if r % 2 == 1 else ((r, c - 1), (r, c + 1))
-
-    # -- shared machinery --
-
-    def edge_faces(self, edge):
-        r, c = edge.node
-        a, b = self._face_parity_neighbors(r, c)
-        return self._face_at(a), self._face_at(b)
+        self.faces, self.edges, self.edge_faces = [], {}, {}
+        for r, c in sorted(region):
+            # off_r: r is not a row of vertex points; off_c likewise
+            off_r, off_c = (r + offset) % 2, (c + offset) % 2
+            if off_r and off_c:
+                self.faces.append((r, c))
+            elif off_r or off_c:
+                ends, sides = ((r - 1, c), (r + 1, c)), ((r, c - 1), (r, c + 1))
+                if off_c:
+                    ends, sides = sides, ends
+                us = [at[p] for p in ends if p in at]
+                self.edges[r, c] = ({us[0]: 1} if len(us) == 1 else
+                                    {u: weight(u, v) for u, v in (us, us[::-1])})
+                self.edge_faces[r, c] = tuple(p if p in region else FS for p in sides)
 
     def h_graph(self):
         """The overlay board: vertex-edge contacts weighted by the
         directed edge weight leaving the vertex, face-edge contacts 1."""
-        vertices = list(self.vertex_node.values()) + self.faces
-        vertices += [e.node for e in self.edges]
+        vertices = list(self.vertex_node.values()) + self.faces + list(self.edges)
         weights = {}
-        for e in self.edges:
-            for u, w in e.ends:
-                if u is not None and w > 0:
-                    weights[(self.vertex_node[u], e.node)] = w
-            for f in self.edge_faces(e):
+        for e, ends in self.edges.items():
+            for u, w in ends.items():
+                if w > 0:
+                    weights[(self.vertex_node[u], e)] = w
+            for f in self.edge_faces[e]:
                 if f is not FS:
-                    weights[(f, e.node)] = 1
+                    weights[(f, e)] = 1
         return MatchGraph(vertices, weights)
 
     def spanning_trees(self):
-        """All rooted spanning trees as {vertex label: edge index} maps,
+        """All rooted spanning trees as {vertex label: edge node} maps,
         paired with their weights.  Coincident directed pairs count once
         per usable direction, a weight-2 sink edge as two embedded edges."""
         labels = list(self.vertex_node)
         pos = {u: k for k, u in enumerate(labels)}
-        pos[None] = SINK
-        choices = [
-            [(pos[next(v for v, _ in self.edges[ei].ends if v != u)], w, ei)
-             for ei, w in self.edge_of_vertex[u]]
-            for u in labels
-        ]
+        choices = [[] for _ in labels]
+        for e, ends in self.edges.items():
+            for u, w in ends.items():
+                if w > 0:
+                    other = next((pos[v] for v in ends if v != u), SINK)
+                    choices[pos[u]].append((other, w, e))
         out = []
 
         def visit(tags, weight):
@@ -240,39 +188,33 @@ class EmbeddedFamily:
         """
         if set(tree) != set(self.vertex_node):
             raise ValueError("tree does not span this family instance")
-        matched = []
-        weight = 1
         used = set(tree.values())
         if len(used) != len(tree):
             raise ValueError("tree reuses an embedded edge")
-        for u, ei in tree.items():
-            matched.append((self.vertex_node[u], self.edges[ei].node))
-            weight *= self.edges[ei].weight_from(u)
+        matched = [(self.vertex_node[u], e) for u, e in tree.items()]
+        weight = prod(self.edges[e][u] for u, e in tree.items())
 
         by_face = {}
-        for ei, e in enumerate(self.edges):
-            if ei in used:
-                continue
-            for f in self.edge_faces(e):
-                by_face.setdefault(f, []).append(ei)
+        for e, faces in self.edge_faces.items():
+            if e not in used:
+                for f in faces:
+                    by_face.setdefault(f, []).append(e)
         claimed = {}
         queue = deque([FS])
         seen = {FS}
         while queue:
             f = queue.popleft()
-            for ei in by_face.get(f, ()):
-                a, b = self.edge_faces(self.edges[ei])
+            for e in by_face.get(f, ()):
+                a, b = self.edge_faces[e]
                 other = b if a == f else a
                 if other is FS or other in seen:
                     continue
                 seen.add(other)
-                claimed[other] = ei
+                claimed[other] = e
                 queue.append(other)
         if len(claimed) != len(self.faces):
             raise ValueError("dual tree does not reach every bounded face")
         if len(claimed) + len(used) != len(self.edges):
             raise ValueError("leftover edge nodes; not a perfect matching")
-        for f, ei in claimed.items():
-            matched.append((f, self.edges[ei].node))
+        matched += [(f, e) for f, e in claimed.items()]
         return sorted(tuple(sorted(e)) for e in matched), weight
-

@@ -17,9 +17,14 @@ from .graphs import reduced_laplacian, p_graph
 from .linalg import det_int
 
 ENUM_VERTEX_CAP = 28
-# A twisted board costs 2^wraps determinants, each about cells x side^2
-# bignum updates (side the shorter side, K's band); 12x12 is 8.5e7.
-SEAM_WORK_CAP = 10**8
+# A twisted board costs 2^wraps determinants.  Each costs about
+# cells x side^2 bignum updates (side the shorter side, K's band), plus
+# (cells/2)^2 to build the dense K and scan it for zeros, plus a fixed
+# SEAM_PASS_COST for the cell list; one unit is about 30 ns (Python
+# 3.11, one 2-core VM).  12x12 is 1.1e8 (about 2.5 s); 16x4 is 2.0e8
+# and 18x2 3.8e8.
+SEAM_PASS_COST = 1000
+SEAM_WORK_CAP = 15 * 10**7
 
 
 # --- matchings ---
@@ -106,11 +111,13 @@ def count_matchings(board):
     if split is not None and _faces_are_unit_squares(board.vertices, split[0]):
         unit, wraps = split
         if wraps:
+            size = len(board.vertices)
             side = min(len({r for r, _ in board.vertices}),
                        len({c for _, c in board.vertices}))
-            work = 2 ** len(wraps) * len(board.vertices) * side**2
+            work = 2 ** len(wraps) * (size * side**2 + (size // 2) ** 2
+                                      + SEAM_PASS_COST)
             if work > SEAM_WORK_CAP:
-                raise SizeCapError(f"{len(wraps)} wrap edges on {len(board.vertices)} "
+                raise SizeCapError(f"{len(wraps)} wrap edges on {size} "
                                    f"cells: seam work {work} exceeds {SEAM_WORK_CAP}")
         # Each pass removes cells of the first and last columns, which lie
         # on the outer face, so the remaining faces stay unit squares.

@@ -262,6 +262,33 @@ def test_mobius_beyond_seam_work_cap_exits_3(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("rows,cols", [(18, 2), (16, 4)])
+def test_mobius_thin_boards_beyond_seam_work_cap_exit_3(capsys, monkeypatch, rows, cols):
+    # few cells per pass, but 2^rows passes of fixed cost: 18x2 took
+    # about 9 s and 16x4 about 6 s when only cells x side^2 was charged
+    def unused(cells, unit):
+        raise AssertionError("a seam pass was run")
+
+    monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
+    code, out, err = run_cli(capsys, "count-tilings", "--board", "mobius",
+                             "--rows", str(rows), "--cols", str(cols))
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (10, 4), (12, 10), (12, 12)])
+def test_mobius_boards_of_verify_and_the_benchmark_pass_the_seam_cap(
+        capsys, monkeypatch, rows, cols):
+    passes = []
+    monkeypatch.setattr("sandpiles.tilings._grid_dp",
+                        lambda cells, unit: passes.append(len(cells)) or 1)
+    code, _, _ = run_cli(capsys, "count-tilings", "--board", "mobius",
+                         "--rows", str(rows), "--cols", str(cols))
+    assert code == 0
+    assert len(passes) == 2 ** rows
+
+
 def test_count_symmetric_all_methods_agree_12x12(capsys):
     code, out, _ = run_cli(capsys, "count-symmetric", "--rows", "12",
                            "--cols", "12", "--method", "all")

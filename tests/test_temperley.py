@@ -1,6 +1,7 @@
 import pytest
 
 from sandpiles import board_graph, reduced_laplacian
+from sandpiles.graphs import MatchGraph
 from sandpiles.linalg import det_int
 from sandpiles.temperley import EmbeddedFamily
 from sandpiles.tilings import enumerate_matchings
@@ -23,6 +24,24 @@ def test_overlay_is_the_expected_board(kind, m, n):
     fam = EmbeddedFamily(kind, m, n)
     h = fam.h_graph()
     b = board_graph(BOARD_OF[kind], 2 * m, 2 * n)
+    assert h.vertices == b.vertices
+    assert h.edges == b.edges
+
+
+def staircase_board(n):
+    """The lattice region {(r, c): 1 <= c <= r <= 2n, r odd or c < r}
+    as a board with unit edges between neighbouring points."""
+    cells = [(r, c) for r in range(1, 2 * n + 1) for c in range(1, r + 1)
+             if r % 2 or c < r]
+    edges = {(u, v): 1 for u in cells for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1))
+             if v in cells}
+    return MatchGraph(cells, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_staircase_overlay_is_the_staircase_board(n):
+    h = EmbeddedFamily("P", n, n).h_graph()
+    b = staircase_board(n)
     assert h.vertices == b.vertices
     assert h.edges == b.edges
 
@@ -75,6 +94,12 @@ def test_embedding_needs_enough_columns():
         EmbeddedFamily("Dprime", 2, 1)
     with pytest.raises(ValueError):
         EmbeddedFamily("Ddoubleprime", 1, 2)
+
+
+def test_staircase_needs_equal_sizes():
+    with pytest.raises(ValueError):
+        EmbeddedFamily("P", 3, 5)
+    assert EmbeddedFamily("P", 4, 4).graph.vertex_count == 10
 
 
 def test_unknown_kind():
