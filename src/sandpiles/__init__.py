@@ -9,7 +9,7 @@ resultants, with no floating point anywhere.
 """
 
 from .errors import SizeCapError, PrecisionError, SymmetryError
-from .linalg import det_int, solve_int
+from .linalg import det_int, leading_minors, solve_int
 from .graphs import (
     SandpileGraph,
     MatchGraph,
@@ -31,6 +31,8 @@ from .engine import (
 from .symmetry import (
     GroupAction,
     klein_action,
+    dihedral_action,
+    grid_action,
     d_family,
     symmetrized_laplacian,
     count_symmetric_recurrents,
@@ -49,6 +51,7 @@ from .tilings import (
     count_matchings,
     enumerate_matchings,
     a_seq,
+    a_seq_upto,
     pn_embed,
     distance_config,
     diagonal_config,

@@ -17,6 +17,7 @@ from .graphs import board_graph, grid_sandpile, p_graph
 from .linalg import det_int
 from .symmetry import (
     enumerate_symmetric_recurrents,
+    grid_action,
     klein_action,
     symmetric_config_order,
     symmetrized_laplacian,
@@ -107,7 +108,7 @@ def _staircase_row(n):
         tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
     values["power_of_two_check"] = tilings == 2**n * an**2
     order_sq = symmetric_config_order(
-        grid_sandpile(2 * n, 2 * n), klein_action(2 * n, 2 * n),
+        grid_sandpile(2 * n, 2 * n), grid_action(2 * n, 2 * n),
         (2,) * (4 * n * n))
     values["order_two_grid"] = order_sq
     values["divides_a_n"] = an % order_sq == 0

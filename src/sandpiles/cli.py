@@ -13,8 +13,8 @@ import sys
 from . import checks
 from .errors import SizeCapError
 from .graphs import board_graph, grid_sandpile
-from .symmetry import klein_action, symmetric_config_order, symmetric_identity
-from .tilings import a_seq, count_matchings, enumerate_matchings
+from .symmetry import grid_action, symmetric_config_order, symmetric_identity
+from .tilings import a_seq_upto, count_matchings, enumerate_matchings
 
 EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_SIZE = 0, 1, 2, 3
 
@@ -65,7 +65,7 @@ def cmd_count_tilings(args):
 
 def cmd_order(args):
     g = grid_sandpile(args.rows, args.cols)
-    action = klein_action(args.rows, args.cols)
+    action = grid_action(args.rows, args.cols)
     fill = 1 if args.config == "all-ones" else 2
     order = symmetric_config_order(g, action, (fill,) * g.vertex_count)
     report = {"rows": args.rows, "cols": args.cols, "config": args.config,
@@ -80,7 +80,7 @@ def cmd_order(args):
 
 def cmd_identity(args):
     g = grid_sandpile(args.rows, args.cols)
-    e = symmetric_identity(g, klein_action(args.rows, args.cols))
+    e = symmetric_identity(g, grid_action(args.rows, args.cols))
     grid = [list(e[r * args.cols:(r + 1) * args.cols]) for r in range(args.rows)]
     if args.format == "pgm":
         lines = [f"P2\n{args.cols} {args.rows}\n3\n"]
@@ -112,7 +112,7 @@ def cmd_verify(args):
 
 
 def cmd_a_seq(args):
-    values = [a_seq(k) for k in range(1, args.n + 1)]
+    values = a_seq_upto(args.n)
     print(json.dumps({"values": values,
                       "all_odd": all(v % 2 == 1 for v in values)}))
     return EXIT_OK

@@ -4,7 +4,8 @@ One fraction-free (Bareiss) elimination kernel serves determinants and
 linear solves: every intermediate entry stays an integer (each is a
 minor of the original matrix, which bounds growth).  A solve returns the
 integer Cramer numerators y = det * M^-1 b, found by fraction-free
-back-substitution and verified by an exact residual check.
+back-substitution and verified by an exact residual check.  With no
+row swap, the pivots are the leading principal minors (`leading_minors`).
 
 The kernel skips structural zeros: a row with a zero in the pivot column
 is left alone for that step, and a row update spans only the columns up
@@ -27,10 +28,11 @@ def _bareiss(a, rhs):
     """Fraction-free forward elimination of the square matrix a, in
     place, with row swaps; rhs (one entry per row) is carried along.
 
-    Returns the sign of the row permutation, or 0 if a is singular (then
-    a is left partly eliminated).  Otherwise a is upper triangular, each
-    row as it stood when it was the pivot row, and the determinant is
-    that sign times a[n-1][n-1].
+    Returns the number of row swaps, or None if a is singular (then a is
+    left partly eliminated).  Otherwise a is upper triangular, each row
+    as it stood when it was the pivot row, and the determinant is
+    (-1)^swaps times a[n-1][n-1].  With no swap, a[k][k] is the leading
+    principal minor of order k + 1.
 
     p_0 = 1 and p_{k+1} is the pivot of step k.  A row whose entry in
     the pivot column is zero is skipped: its Bareiss update would only
@@ -44,7 +46,7 @@ def _bareiss(a, rhs):
     the columns up to the later end of the two rows.
     """
     n = len(a)
-    sign = 1
+    swaps = 0
     piv = [1]
     last_step = [0] * n
     end = [max((j + 1 for j, x in enumerate(row) if x), default=0) for row in a]
@@ -56,10 +58,10 @@ def _bareiss(a, rhs):
                     rhs[k], rhs[i] = rhs[i], rhs[k]
                     last_step[k], last_step[i] = last_step[i], last_step[k]
                     end[k], end[i] = end[i], end[k]
-                    sign = -sign
+                    swaps += 1
                     break
             else:
-                return 0
+                return None
         row_k, ek = a[k], end[k]
         s = last_step[k]
         if s != k:
@@ -81,7 +83,7 @@ def _bareiss(a, rhs):
             rhs[i] = (rhs[i] * pivot - aik * bk) // down
             last_step[i] = k + 1
             end[i] = e
-    return sign
+    return swaps
 
 
 def det_int(m):
@@ -90,7 +92,22 @@ def det_int(m):
     if n == 0:
         return 1
     a = [[int(x) for x in row] for row in m]
-    return _bareiss(a, [0] * n) * a[n - 1][n - 1]
+    swaps = _bareiss(a, [0] * n)
+    return 0 if swaps is None else (-1) ** swaps * a[n - 1][n - 1]
+
+
+def leading_minors(m):
+    """The leading principal minors of a square integer matrix, orders 1
+    to n, read off the diagonal of one elimination.
+
+    Raises ValueError if a leading minor is zero: the elimination would
+    then swap rows, and its diagonal would no longer hold the minors.
+    """
+    n = _check_square(m)
+    a = [[int(x) for x in row] for row in m]
+    if _bareiss(a, [0] * n) != 0:  # None (singular) or a swap
+        raise ValueError("a leading principal minor is zero")
+    return [a[k][k] for k in range(n)]
 
 
 def solve_int(m, b):
@@ -104,9 +121,9 @@ def solve_int(m, b):
         raise ValueError("dimension mismatch")
     a = [[int(x) for x in row] for row in m]
     rhs = [int(bv) for bv in b]
-    sign = _bareiss(a, rhs)
+    swaps = _bareiss(a, rhs)
     last = a[n - 1][n - 1] if n else 1
-    if sign == 0 or last == 0:
+    if swaps is None or last == 0:
         raise ValueError("singular matrix")
     # a is upper triangular with a[n-1][n-1] = det of the permuted M, so
     # last * x is integral (Cramer) and each division below is exact.
@@ -117,6 +134,7 @@ def solve_int(m, b):
         y[i], rem = divmod(acc, row[i])
         if rem:
             raise ArithmeticError("inexact division in back-substitution")
+    sign = (-1) ** swaps
     det = sign * last
     y = [sign * v for v in y]
     for row, bv in zip(m, b):

@@ -9,10 +9,13 @@ gains the total weight of the edges from Gv's members into w (orbit
 mates of w included).  The symmetrized Laplacian is this system as a
 matrix; determinants, element orders, the identity and the burning
 tests of symmetric configurations all run on it, with about N/4
-unknowns for the Klein action on an N-vertex grid.
+unknowns for the Klein action on an N-vertex grid and about N/8 for the
+dihedral action on a square one.  `grid_action` picks the larger group
+for a grid; counts stay on the Klein fold, whose determinant is the
+number of Klein-symmetric recurrents.
 """
 
-from itertools import product
+from itertools import product, starmap
 from math import gcd, prod
 
 from .engine import _burns, _enum_cap, _identity, burning_config
@@ -78,30 +81,51 @@ class GroupAction:
         return tuple(out)
 
 
+def _grid_action(m, n, maps):
+    """The action of the cell maps (i, j) -> f(i, j) on the m x n grid,
+    cells 1-based and numbered row-major."""
+    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    return GroupAction([tuple((i - 1) * n + (j - 1) for i, j in starmap(f, cells))
+                        for f in maps])
+
+
 def klein_action(m, n):
     """The Klein four-group {e, sigma, tau, sigma.tau} on the m x n grid,
     where sigma reflects columns and tau reflects rows.  Coincident
     elements (on one-row or one-column grids) are deduplicated.
     """
+    return _grid_action(m, n, [
+        lambda i, j: (i, j),
+        lambda i, j: (i, n - j + 1),
+        lambda i, j: (m - i + 1, j),
+        lambda i, j: (m - i + 1, n - j + 1),
+    ])
 
-    def idx(i, j):
-        return (i - 1) * n + (j - 1)
 
-    def perm(f):
-        p = [0] * (m * n)
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                p[idx(i, j)] = idx(*f(i, j))
-        return tuple(p)
+def dihedral_action(n):
+    """The dihedral group D4 on the n x n grid: the Klein four-group and
+    its composites with the transpose (i, j) -> (j, i).  Its h(h+1)/2
+    orbits, h = ceil(n/2), are represented by the cells (i, j) with
+    i <= j <= h: about n^2/8, against about n^2/4 for Klein."""
+    r = n + 1
+    return _grid_action(n, n, [
+        lambda i, j: (i, j),
+        lambda i, j: (i, r - j),
+        lambda i, j: (r - i, j),
+        lambda i, j: (r - i, r - j),
+        lambda i, j: (j, i),
+        lambda i, j: (j, r - i),
+        lambda i, j: (r - j, i),
+        lambda i, j: (r - j, r - i),
+    ])
 
-    return GroupAction(
-        [
-            perm(lambda i, j: (i, j)),
-            perm(lambda i, j: (i, n - j + 1)),
-            perm(lambda i, j: (m - i + 1, j)),
-            perm(lambda i, j: (m - i + 1, n - j + 1)),
-        ]
-    )
+
+def grid_action(rows, cols):
+    """The largest grid symmetry group the package folds by: D4 on a
+    square grid, the Klein four-group otherwise.  Both fix every
+    constant configuration and the identity, and every element order is
+    the same on either fold."""
+    return dihedral_action(rows) if rows == cols else klein_action(rows, cols)
 
 
 def _folded_system(g, action):

@@ -8,13 +8,18 @@ unit square.  Twisted (wrap-edge) boards sum that count over all seam
 subsets, when the estimated work is within SEAM_WORK_CAP.  Any other
 small graph falls back to recursive enumeration, which doubles as the
 oracle for the determinant in the tests.
+
+The staircase graph P_n is the 2n x 2n grid folded by its dihedral
+symmetries.  Numbered row-major, L(P_(k-1)) is the leading block of
+L(P_k), so one elimination of L(P_n) reads every a_k off its pivots
+(`a_seq_upto`); `a_seq` is one determinant per n, and the oracle.
 """
 
 from math import prod
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian, p_graph
-from .linalg import det_int
+from .linalg import det_int, leading_minors
 
 ENUM_VERTEX_CAP = 28
 # A twisted board costs 2^wraps determinants.  Each costs about
@@ -174,6 +179,15 @@ def enumerate_matchings(board):
 def a_seq(n):
     """Order of the sandpile group of the n-th staircase graph."""
     return det_int(reduced_laplacian(p_graph(n)))
+
+
+def a_seq_upto(n):
+    """[a_seq(1), ..., a_seq(n)]: P_k has its k(k+1)/2 vertices first in
+    P_n, with the same Laplacian rows (a sink edge of P_k is an edge
+    down to row k + 1 in P_n), so a_k is the leading minor of that order
+    of L(P_n)."""
+    minors = leading_minors(reduced_laplacian(p_graph(n)))
+    return [minors[k * (k + 1) // 2 - 1] for k in range(1, n + 1)]
 
 
 def distance_config(n):

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sandpiles import grid_sandpile, klein_action, symmetrized_laplacian
+from sandpiles import (
+    grid_sandpile,
+    klein_action,
+    p_graph,
+    reduced_laplacian,
+    symmetrized_laplacian,
+)
 from sandpiles.blocks import grid_parity, parity_blocks
 from sandpiles.formulas import block_tridiag_det
 from sandpiles.linalg import (
     det_int,
+    leading_minors,
     mat_identity,
     mat_mul,
     solve_int,
@@ -93,6 +100,39 @@ def test_folded_det_matches_block_recurrence(rows, cols):
     lap = symmetrized_laplacian(grid_sandpile(rows, cols),
                                 klein_action(rows, cols))
     assert det_int(lap) == block_tridiag_det(*parity_blocks(parity, n), m)
+
+
+def leading_blocks(mat):
+    return [[row[:k] for row in mat[:k]] for k in range(1, len(mat) + 1)]
+
+
+def test_leading_minors_are_the_leading_determinants():
+    mat = [[2, -1, 3, 0],
+           [4, 1, 0, 2],
+           [-2, 5, 7, 1],
+           [0, 3, -1, 6]]
+    lap = reduced_laplacian(p_graph(6))
+    for m in (mat, lap):
+        assert leading_minors(m) == [det_int(b) for b in leading_blocks(m)]
+    assert leading_minors([]) == []
+
+
+@given(st.one_of(square_matrices, sparse_matrices))
+@settings(max_examples=200)
+def test_leading_minors_match_or_refuse(mat):
+    want = [fraction_det(b) for b in leading_blocks(mat)]
+    if 0 in want:
+        with pytest.raises(ValueError):
+            leading_minors(mat)
+    else:
+        assert leading_minors(mat) == want
+
+
+def test_leading_minors_refuse_a_swap():
+    with pytest.raises(ValueError):
+        leading_minors([[0, 1], [1, 0]])  # det -1, but the first minor is 0
+    with pytest.raises(ValueError):
+        leading_minors([[1, 2], [2, 4]])  # singular
 
 
 def test_det_singular():

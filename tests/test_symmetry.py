@@ -9,9 +9,11 @@ from sandpiles import (
     SandpileGraph,
     config_order,
     count_symmetric_recurrents,
+    dihedral_action,
     enumerate_recurrents,
     enumerate_symmetric_recurrents,
     fold,
+    grid_action,
     grid_sandpile,
     identity_config,
     is_recurrent,
@@ -94,6 +96,39 @@ def test_klein_action_sizes():
 def test_klein_action_preserves_grid():
     g = grid_sandpile(4, 5)
     klein_action(4, 5).validate_weights(g)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_dihedral_action_sizes(n):
+    act = dihedral_action(n)
+    h = (n + 1) // 2
+    assert len(act.orbits) == h * (h + 1) // 2
+    assert len(act.elements) == (8 if n >= 2 else 1)
+    act.validate_weights(grid_sandpile(n, n))
+
+
+def test_grid_action_picks_dihedral_on_square_grids():
+    assert grid_action(6, 6).elements == dihedral_action(6).elements
+    assert grid_action(6, 5).elements == klein_action(6, 5).elements
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 32, 33])
+def test_dihedral_fold_matches_klein(n):
+    g, klein, d4 = grid_sandpile(n, n), klein_action(n, n), dihedral_action(n)
+    assert symmetric_identity(g, d4) == symmetric_identity(g, klein)
+    for fill in (1, 2):
+        c = (fill,) * g.vertex_count
+        assert symmetric_config_order(g, d4, c) == symmetric_config_order(g, klein, c)
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_klein_count_is_the_square_of_the_dihedral_determinant(n):
+    # Observed, not proved: det S_Klein = det(S_D4)^2 / 2^e on the n x n
+    # grid, e = n/2 for even n and (n + 3)/2 for odd n.
+    g = grid_sandpile(n, n)
+    e = n // 2 if n % 2 == 0 else (n + 3) // 2
+    klein = det_int(symmetrized_laplacian(g, klein_action(n, n)))
+    assert klein * 2**e == det_int(symmetrized_laplacian(g, dihedral_action(n))) ** 2
 
 
 def test_orbit_counts():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from sandpiles import (
     a_seq,
+    a_seq_upto,
     board_graph,
     count_matchings,
     diagonal_config,
@@ -181,6 +182,11 @@ def test_spanning_tree_cap():
 def test_a_seq_values():
     assert [a_seq(n) for n in range(1, 6)] == [1, 3, 29, 901, 89893]
     assert a_seq(6) == 28793575
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_seq_upto_matches_one_determinant_per_n(n):
+    assert a_seq_upto(n) == [a_seq(k) for k in range(1, n + 1)]
 
 
 def test_a_seq_all_odd():
