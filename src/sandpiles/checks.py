@@ -13,22 +13,17 @@ from math import gcd
 from .blocks import grid_parity, parity_blocks
 from .engine import config_order
 from .formulas import block_tridiag_det, closed_form_count, lu_wu_count
-from .graphs import board_graph, grid_sandpile, p_graph
+from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
 from .linalg import det_int
 from .symmetry import (
+    dihedral_action,
     enumerate_symmetric_recurrents,
     grid_action,
     klein_action,
     symmetric_config_order,
     symmetrized_laplacian,
 )
-from .tilings import (
-    a_seq,
-    count_matchings,
-    diagonal_config,
-    distance_config,
-    pn_embed,
-)
+from .tilings import a_seq, count_matchings, diagonal_config, distance_config
 
 
 def sym_laplacian(rows, cols):
@@ -86,16 +81,14 @@ def _laplacian_times(g, c):
 
 
 def _phi_check(n):
-    """Laplacian compatibility of the staircase-to-grid unfolding on a
-    deterministic test configuration."""
+    """The staircase is the D4 fold of the 2n x 2n grid: the symmetrized
+    Laplacian, rows and columns reversed, is L(P_n) with the rows of the
+    diagonal vertices (i, i) doubled."""
+    sym = symmetrized_laplacian(grid_sandpile(2 * n, 2 * n), dihedral_action(2 * n))
     pg = p_graph(n)
-    big = grid_sandpile(2 * n, 2 * n)
-    c = tuple((7 * k + 3) % 5 for k in range(pg.vertex_count))
-    target = list(pn_embed(n, _laplacian_times(pg, c)))
-    for idx, (i, j) in enumerate(big.labels):
-        if i == j or i + j == 2 * n + 1:
-            target[idx] *= 2
-    return list(_laplacian_times(big, pn_embed(n, c))) == target
+    return [row[::-1] for row in sym[::-1]] == [
+        [x * (1 + (i == j)) for x in row]
+        for row, (i, j) in zip(reduced_laplacian(pg), pg.labels)]
 
 
 def _staircase_row(n):

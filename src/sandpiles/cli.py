@@ -9,6 +9,7 @@ diagnostics to stderr.  Exit codes: 0 success, 1 verification failure,
 import argparse
 import json
 import sys
+from math import gcd
 
 from . import checks
 from .errors import SizeCapError
@@ -71,9 +72,9 @@ def cmd_order(args):
     report = {"rows": args.rows, "cols": args.cols, "config": args.config,
               "order": order}
     if args.config == "all-ones":
-        twos = symmetric_config_order(g, action, (2,) * g.vertex_count)
-        report["all_twos_order"] = twos
-        report["ratio"] = order // twos
+        # 2c has order |c| / gcd(|c|, 2) in the cyclic group c generates.
+        report["all_twos_order"] = order // gcd(order, 2)
+        report["ratio"] = gcd(order, 2)
     print(json.dumps(report))
     return EXIT_OK
 

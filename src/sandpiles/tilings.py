@@ -20,6 +20,7 @@ from math import prod
 from .errors import SizeCapError
 from .graphs import reduced_laplacian, p_graph
 from .linalg import det_int, leading_minors
+from .symmetry import dihedral_action, unfold
 
 ENUM_VERTEX_CAP = 28
 # A twisted board costs 2^wraps determinants.  Each costs about
@@ -206,20 +207,7 @@ def pn_embed(n, c):
     """Unfold a staircase configuration into a dihedrally symmetric
     configuration on the 2n x 2n grid.
 
-    The grid cell (R, C) reads the staircase vertex found by folding
-    both coordinates into the first quadrant and sorting them under the
-    diagonal.
-    """
-    g = p_graph(n)
-    if len(c) != g.vertex_count:
-        raise ValueError("configuration has wrong length for the staircase")
-    at = {lab: val for lab, val in zip(g.labels, c)}
-    out = []
-    for bigr in range(1, 2 * n + 1):
-        for bigc in range(1, 2 * n + 1):
-            r = min(bigr, 2 * n + 1 - bigr)
-            col = min(bigc, 2 * n + 1 - bigc)
-            if col > r:
-                r, col = col, r
-            out.append(at[(n + 1 - col, n + 1 - r)])
-    return tuple(out)
+    P_n's vertices, numbered row-major, are the grid's D4 orbit
+    representatives in reverse order: vertex (i, j) stands for the cell
+    (n + 1 - i, n + 1 - j) and its orbit."""
+    return unfold(dihedral_action(2 * n), tuple(reversed(c)))

@@ -84,6 +84,17 @@ def test_order_all_ones_12x12(capsys):
     assert report["ratio"] == 2
 
 
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (3, 2), (4, 4), (5, 5),
+                                       (6, 3), (7, 7), (8, 8)])
+def test_order_all_ones_twos_order_matches_the_all_twos_solve(capsys, rows, cols):
+    # all_twos_order is read off the all-ones order, not solved again
+    size = ("--rows", str(rows), "--cols", str(cols))
+    ones = json.loads(run_cli(capsys, "order", *size, "--config", "all-ones")[1])
+    twos = json.loads(run_cli(capsys, "order", *size)[1])
+    assert ones["all_twos_order"] == twos["order"]
+    assert ones["ratio"] * twos["order"] == ones["order"]
+
+
 def test_identity_pgm_stable_bytes(capsys, tmp_path):
     out1, out2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
     assert run_cli(capsys, "identity", "--rows", "4", "--cols", "4",

@@ -15,23 +15,40 @@ from sandpiles.formulas import (
 from sandpiles.linalg import det_int
 
 
+def _expanded(roots):
+    """Coefficients of prod (y - root), lowest degree first, in floats."""
+    out = [1.0]
+    for root in roots:
+        out = [a - root * b for a, b in zip([0.0] + out, out + [0.0])]
+    return out
+
+
 def test_resultant_polynomials_have_the_cosine_roots():
-    # The closed forms are resultants against P_xi,d and P_zeta,d; each
-    # must be monic of degree d with the squared cosines as its roots.
-    # Expanding prod (y - root) in floats recovers the integer
-    # coefficients to well within 1/2 for every d here.
+    # The closed forms are resultants of P_xi,d or P_zeta,d against C_d
+    # or V_d; each must be monic of degree d, with the roots 4 xi_h^2,
+    # 4 zeta_h^2, -4 xi_h^2 and -4 zeta_h^2.  Expanding prod (y - root) in
+    # floats recovers the integer coefficients to well within 1/2 for
+    # every d here.
     for d in range(1, 11):
-        for poly, angle in (
-            (formulas._p_xi(d), lambda h: h * math.pi / (2 * d + 1)),
-            (formulas._p_zeta(d), lambda h: (2 * h - 1) * math.pi / (4 * d)),
-        ):
-            expanded = [1.0]
-            for h in range(1, d + 1):
-                root = 4 * math.cos(angle(h)) ** 2
-                expanded = [a - root * b for a, b in
-                            zip([0.0] + expanded, expanded + [0.0])]
-            assert len(poly.coeffs) == d + 1 and poly.coeffs[-1] == 1
-            assert list(poly.coeffs) == pytest.approx(expanded, abs=1e-6)
+        xi = [4 * math.cos(h * math.pi / (2 * d + 1)) ** 2 for h in range(1, d + 1)]
+        zeta = [4 * math.cos((2 * h - 1) * math.pi / (4 * d)) ** 2
+                for h in range(1, d + 1)]
+        for seeds, roots in ((formulas._XI, xi), (formulas._ZETA, zeta),
+                             (formulas._C, [-r for r in xi]),
+                             (formulas._V, [-r for r in zeta])):
+            poly = formulas._two_step(seeds, d)
+            assert len(poly) == d + 1 and poly[-1] == 1
+            assert poly == pytest.approx(_expanded(roots), abs=1e-6)
+
+
+def test_lu_wu_roots_are_the_zeta_roots():
+    # prod_k (y - 4 mu_k^2) is P_zeta,n, so the Lu-Wu product is the
+    # even_odd closed form.
+    for n in range(1, 11):
+        mu = [4 * math.sin((4 * k - 1) * math.pi / (4 * n)) ** 2
+              for k in range(1, n + 1)]
+        assert (formulas._two_step(formulas._ZETA, n)
+                == pytest.approx(_expanded(mu), abs=1e-6))
 
 
 @pytest.mark.parametrize("parity", PARITIES)

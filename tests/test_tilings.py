@@ -18,7 +18,7 @@ from sandpiles import (
     reduced_laplacian,
     spanning_tree_weight_sum,
 )
-from sandpiles import tilings
+from sandpiles import checks, tilings
 from sandpiles.errors import SizeCapError
 from sandpiles.graphs import MatchGraph
 from sandpiles.linalg import det_int
@@ -222,7 +222,7 @@ def test_pn_embed_symmetry():
 
 
 def test_pn_embed_layout():
-    # n = 2: the staircase values land with vertex (2,2) in the center
+    # n = 2: vertex (2,2) lands at the corners and (1,1) in the center
     vals = {(1, 1): 10, (2, 1): 20, (2, 2): 30}
     g = p_graph(2)
     c = tuple(vals[lab] for lab in g.labels)
@@ -232,6 +232,22 @@ def test_pn_embed_layout():
     assert rows[1] == (20, 10, 10, 20)
     assert rows[2] == (20, 10, 10, 20)
     assert rows[3] == (30, 20, 20, 30)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pn_embed_folds_each_cell_into_the_staircase(n):
+    # cell (R, C) folds into the first quadrant and under the diagonal
+    g = p_graph(n)
+    at = {lab: k for k, lab in enumerate(g.labels)}
+    emb = pn_embed(n, tuple(range(g.vertex_count)))
+    for k, (r, c) in enumerate(grid_sandpile(2 * n, 2 * n).labels):
+        r, c = min(r, 2 * n + 1 - r), min(c, 2 * n + 1 - c)
+        assert emb[k] == at[(n + 1 - min(r, c), n + 1 - max(r, c))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_staircase_is_the_dihedral_fold(n):
+    assert checks._phi_check(n)
 
 
 def test_pn_embed_rejects_wrong_length():
