@@ -14,45 +14,38 @@ entries -1, and A'_n has diagonal all 4 and off-diagonal -1 except for a
 replaced by 3.
 """
 
-from .linalg import mat_identity, mat_scale, mat_sub
+from .linalg import mat_identity
 
 PARITIES = ("even_even", "even_odd", "odd_odd")
 
 
-def mat_a(n):
-    """Tridiagonal A_n: diagonal 4 except a final 3, off-diagonals -1."""
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 4
-        if i + 1 < n:
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-    m[n - 1][n - 1] = 3
+def _tridiagonal(n, diag, last, below):
+    """n x n tridiagonal: `diag` on the diagonal but `last` at (n, n),
+    `below` at (n, n-1), and -1 at every other entry beside the diagonal."""
+    m = [[diag * (i == j) - (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    if n:
+        m[-1][-1] = last
+    if n > 1:
+        m[-1][-2] = below
     return m
 
 
+def mat_a(n):
+    """Tridiagonal A_n: diagonal 4 except a final 3, off-diagonals -1."""
+    return _tridiagonal(n, 4, 3, -1)
+
+
 def mat_b(n):
-    return mat_sub(mat_a(n), mat_identity(n))
+    return _tridiagonal(n, 3, 2, -1)
 
 
 def mat_a_prime(n):
     """A'_n: diagonal all 4, off-diagonals -1 except entry (n, n-1) = -2."""
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 4
-        if i + 1 < n:
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-    if n > 1:
-        m[n - 1][n - 2] = -2
-    return m
+    return _tridiagonal(n, 4, 4, -2)
 
 
 def mat_b_prime(n):
-    m = mat_a_prime(n)
-    for i in range(n):
-        m[i][i] = 3
-    return m
+    return _tridiagonal(n, 3, 3, -2)
 
 
 def parity_blocks(parity, n):
@@ -63,7 +56,7 @@ def parity_blocks(parity, n):
         return mat_a_prime(n), mat_b_prime(n), mat_identity(n)
     if parity == "odd_odd":
         a = mat_a_prime(n)
-        return a, a, mat_scale(2, mat_identity(n))
+        return a, a, [[2 * (i == j) for j in range(n)] for i in range(n)]
     raise ValueError(f"unknown parity class {parity!r}")
 
 

@@ -20,7 +20,7 @@ from .tilings import a_seq_upto, count_matchings, enumerate_matchings
 EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_SIZE = 0, 1, 2, 3
 
 # perfbench/make_refs.py reads these four names from here; they go once
-# the benchmark change (ROADMAP item 2) points it at `checks`.
+# the benchmark change (ROADMAP item 1) points it at `checks`.
 _sym_laplacian = checks.sym_laplacian
 _tiling_board = checks.tiling_board
 _verify_rows = checks.verify_rows
@@ -102,7 +102,8 @@ def cmd_identity(args):
 
 def cmd_verify(args):
     ok = True
-    for row in checks.verify_rows(args.max_m, args.max_n):
+    # every row first, so that a size cap tripped late prints no rows
+    for row in list(checks.verify_rows(args.max_m, args.max_n)):
         row["agree"] = checks.row_agrees(row)
         ok = ok and row["agree"]
         print(json.dumps(row))

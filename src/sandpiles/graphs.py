@@ -2,7 +2,9 @@
 
 Vertex order is canonical row-major (left to right, top to bottom)
 everywhere, so that every matrix produced here matches the standard
-displayed forms entry for entry.
+displayed forms entry for entry.  The grid, the staircase and the boards
+take their unit edges from one builder, `_lattice_edges`, which pairs
+each cell with its right and lower neighbours in that order.
 """
 
 from collections import deque
@@ -107,6 +109,16 @@ class MatchGraph:
         return adj
 
 
+def _lattice_edges(cells):
+    """The unit edges (u, v) among the cells, v one step right of or below
+    u, in the order of `cells` with the right neighbour first."""
+    cset = set(cells)
+    for i, j in cells:
+        for v in ((i, j + 1), (i + 1, j)):
+            if v in cset:
+                yield (i, j), v
+
+
 def grid_sandpile(m, n):
     """The m x n sandpile grid graph: every non-sink vertex has degree 4.
 
@@ -116,14 +128,7 @@ def grid_sandpile(m, n):
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
     labels = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    edges = {}
-    for i, j in labels:
-        if j < n:
-            edges[((i, j), (i, j + 1))] = 1
-            edges[((i, j + 1), (i, j))] = 1
-        if i < m:
-            edges[((i, j), (i + 1, j))] = 1
-            edges[((i + 1, j), (i, j))] = 1
+    edges = {e: 1 for u, v in _lattice_edges(labels) for e in ((u, v), (v, u))}
     sink = {}
     for i, j in labels:
         deg = (j > 1) + (j < n) + (i > 1) + (i < m)
@@ -140,13 +145,7 @@ def p_graph(n):
     if n < 1:
         raise ValueError("n must be positive")
     labels = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
-    vset = set(labels)
-    edges = {}
-    for i, j in labels:
-        for v in ((i + 1, j), (i, j + 1)):
-            if v in vset:
-                edges[((i, j), v)] = 1
-                edges[(v, (i, j))] = 1
+    edges = {e: 1 for u, v in _lattice_edges(labels) for e in ((u, v), (v, u))}
     sink = {(n, j): 1 for j in range(1, n + 1)}
     return SandpileGraph(labels, edges, sink, undirected=True)
 
@@ -166,12 +165,7 @@ def board_graph(kind, rows, cols):
     if rows < 1 or cols < 1:
         raise ValueError("board dimensions must be positive")
     vertices = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    edges = {}
-    for r, c in vertices:
-        if c < cols:
-            edges[((r, c), (r, c + 1))] = 1
-        if r < rows:
-            edges[((r, c), (r + 1, c))] = 1
+    edges = dict.fromkeys(_lattice_edges(vertices), 1)
 
     if kind == "plain":
         pass

@@ -12,10 +12,12 @@ tests of symmetric configurations all run on it, with about N/4
 unknowns for the Klein action on an N-vertex grid and about N/8 for the
 dihedral action on a square one.  `grid_action` picks the larger group
 for a grid; counts stay on the Klein fold, whose determinant is the
-number of Klein-symmetric recurrents.
+number of Klein-symmetric recurrents.  Each grid group is read off the
+grid's row-major index array: flipped by rows, by columns and by both
+for Klein, and those four arrays with their transposes for D4.
 """
 
-from itertools import product, starmap
+from itertools import chain, product
 from math import gcd, prod
 
 from .engine import _burns, _enum_cap, _identity, burning_config
@@ -81,12 +83,14 @@ class GroupAction:
         return tuple(out)
 
 
-def _grid_action(m, n, maps):
-    """The action of the cell maps (i, j) -> f(i, j) on the m x n grid,
-    cells 1-based and numbered row-major."""
-    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-    return GroupAction([tuple((i - 1) * n + (j - 1) for i, j in starmap(f, cells))
-                        for f in maps])
+def _reflections(m, n):
+    """The row-major index array of the m x n grid, as a list of rows,
+    and the same array flipped by columns, by rows and by both.  Read
+    row-major, each array is the permutation that sends a cell to its
+    image under that reflection."""
+    rows = [range(i * n, (i + 1) * n) for i in range(m)]
+    return [rows, [r[::-1] for r in rows],
+            rows[::-1], [r[::-1] for r in rows[::-1]]]
 
 
 def klein_action(m, n):
@@ -94,12 +98,7 @@ def klein_action(m, n):
     where sigma reflects columns and tau reflects rows.  Coincident
     elements (on one-row or one-column grids) are deduplicated.
     """
-    return _grid_action(m, n, [
-        lambda i, j: (i, j),
-        lambda i, j: (i, n - j + 1),
-        lambda i, j: (m - i + 1, j),
-        lambda i, j: (m - i + 1, n - j + 1),
-    ])
+    return GroupAction(chain.from_iterable(a) for a in _reflections(m, n))
 
 
 def dihedral_action(n):
@@ -107,17 +106,9 @@ def dihedral_action(n):
     its composites with the transpose (i, j) -> (j, i).  Its h(h+1)/2
     orbits, h = ceil(n/2), are represented by the cells (i, j) with
     i <= j <= h: about n^2/8, against about n^2/4 for Klein."""
-    r = n + 1
-    return _grid_action(n, n, [
-        lambda i, j: (i, j),
-        lambda i, j: (i, r - j),
-        lambda i, j: (r - i, j),
-        lambda i, j: (r - i, r - j),
-        lambda i, j: (j, i),
-        lambda i, j: (j, r - i),
-        lambda i, j: (r - j, i),
-        lambda i, j: (r - j, r - i),
-    ])
+    arrays = _reflections(n, n)
+    return GroupAction(chain.from_iterable(a)
+                       for a in arrays + [list(zip(*a)) for a in arrays])
 
 
 def grid_action(rows, cols):

@@ -52,6 +52,22 @@ def test_count_tilings_enumerate(capsys):
     assert len(report["matchings"]) == 2
 
 
+@pytest.mark.parametrize("board,rows,cols,digest", [
+    ("plain", 2, 3, "00b2728eb427ece85f974e44a48a46a0b25dac2bc384b23bd9c1f0b810f4fc55"),
+    ("mobius", 4, 4, "e34610a4d789a35fa911f6b4891e1a9af28a1522567f843b54a32a5ca79af925"),
+    ("mobius-weighted", 5, 4,
+     "486e7872a91e5f6d6b8824b8bbdaf982aa1cd5b9952a82e1a25a1a0be47c8a1c"),
+    ("two-weighted", 4, 4,
+     "8e488061981e393f85df2b66da581c8e19a2f37059944486e946c44759afca15"),
+])
+def test_count_tilings_enumerate_bytes_are_pinned(capsys, board, rows, cols, digest):
+    # board_graph's edge order fixes the order of the listed matchings
+    code, out, _ = run_cli(capsys, "count-tilings", "--board", board, "--rows",
+                           str(rows), "--cols", str(cols), "--enumerate")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_order_all_ones_reports_ratio(capsys):
     code, out, _ = run_cli(capsys, "order", "--rows", "2", "--cols", "2",
                            "--config", "all-ones")
@@ -194,6 +210,16 @@ def test_verify_prints_an_exact_ratio_when_the_power_check_fails(
     staircase = rows[-1]["values"]
     assert staircase["power_of_two_check"] is False
     assert staircase["tilings_over_a_sq"] == "2/9"  # 2 tilings of 2x2, a_1 = 3
+
+
+def test_verify_beyond_a_cap_prints_no_rows(capsys, monkeypatch):
+    # the even_even row passes; the Mobius board of the even_odd row is
+    # refused, and the even_even row must not have been printed
+    monkeypatch.setattr("sandpiles.tilings.SEAM_WORK_CAP", 0)
+    code, out, err = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "1")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
 
 
 def test_a_seq(capsys):

@@ -52,6 +52,17 @@ def test_sandpile_graph_rejects_asymmetric_undirected():
         SandpileGraph(["a", "b"], {("a", "b"): 2, ("b", "a"): 1}, {"a": 1})
 
 
+def tridiagonal(diagonal, below, above):
+    """The matrix with the given diagonal, subdiagonal and superdiagonal."""
+    n = len(diagonal)
+    m = [[0] * n for _ in range(n)]
+    for i, x in enumerate(diagonal):
+        m[i][i] = x
+    for i, (x, y) in enumerate(zip(below, above)):
+        m[i + 1][i], m[i][i + 1] = x, y
+    return m
+
+
 def test_blocks_small():
     assert mat_a(1) == [[3]]
     assert mat_b(1) == [[2]]
@@ -61,6 +72,15 @@ def test_blocks_small():
     assert mat_b_prime(1) == [[3]]
     assert mat_a_prime(2) == [[4, -1], [-2, 4]]
     assert mat_b_prime(2) == [[3, -1], [-2, 3]]
+    for n in range(1, 9):
+        ident = tridiagonal([1] * n, [0] * (n - 1), [0] * (n - 1))
+        a = tridiagonal([4] * (n - 1) + [3], [-1] * (n - 1), [-1] * (n - 1))
+        below = [-1] * (n - 2) + [-2] if n > 1 else []
+        assert mat_a(n) == a
+        assert mat_b(n) == [[x - e for x, e in zip(r, s)] for r, s in zip(a, ident)]
+        assert mat_a_prime(n) == tridiagonal([4] * n, below, [-1] * (n - 1))
+        assert mat_b_prime(n) == tridiagonal([3] * n, below, [-1] * (n - 1))
+        assert parity_blocks("odd_odd", n)[2] == [[2 * e for e in r] for r in ident]
 
 
 GRID_OF = {"even_even": lambda m, n: (2 * m, 2 * n),

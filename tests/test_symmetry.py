@@ -131,6 +131,36 @@ def test_klein_count_is_the_square_of_the_dihedral_determinant(n):
     assert klein * 2**e == det_int(symmetrized_laplacian(g, dihedral_action(n))) ** 2
 
 
+def maps_to_perms(m, n, maps):
+    """The permutations of the row-major cell indices that the 1-based
+    cell maps (i, j) -> f(i, j) induce on the m x n grid."""
+    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    return {tuple((a - 1) * n + b - 1 for a, b in (f(i, j) for i, j in cells))
+            for f in maps}
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 32, 33])
+def test_grid_groups_are_the_cell_reflections(n):
+    r = n + 1
+    for m in {*range(1, 10), n}:
+        assert klein_action(m, n).elements == sorted(maps_to_perms(m, n, [
+            lambda i, j: (i, j),
+            lambda i, j: (i, n - j + 1),
+            lambda i, j: (m - i + 1, j),
+            lambda i, j: (m - i + 1, n - j + 1),
+        ]))
+    assert dihedral_action(n).elements == sorted(maps_to_perms(n, n, [
+        lambda i, j: (i, j),
+        lambda i, j: (i, r - j),
+        lambda i, j: (r - i, j),
+        lambda i, j: (r - i, r - j),
+        lambda i, j: (j, i),
+        lambda i, j: (j, r - i),
+        lambda i, j: (r - j, i),
+        lambda i, j: (r - j, r - i),
+    ]))
+
+
 def test_orbit_counts():
     assert len(klein_action(4, 4).orbits) == 4
     assert len(klein_action(3, 3).orbits) == 4
