@@ -92,6 +92,8 @@ def stabilize(g, c):
 
 
 def is_stable(g, c):
+    if len(c) != g.vertex_count:
+        raise ValueError("configuration has wrong length")
     return all(x < d for x, d in zip(c, g.out_degree))
 
 

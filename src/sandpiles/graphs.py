@@ -198,11 +198,11 @@ def board_graph(kind, rows, cols):
 
 
 def reduced_laplacian(g):
-    """Reduced Laplacian: diagonal = out-degree, entry (v, w) = -wt(v, w)."""
+    """Reduced Laplacian: entry (v, w) = [v = w] out-degree(v) - wt(v, w)."""
     n = g.vertex_count
     mat = [[0] * n for _ in range(n)]
     for v in range(n):
         mat[v][v] = g.out_degree[v]
         for w, wt in g.out[v].items():
-            mat[v][w] = -wt
+            mat[v][w] -= wt
     return mat

@@ -12,9 +12,9 @@ tests of symmetric configurations all run on it, with about N/4
 unknowns for the Klein action on an N-vertex grid and about N/8 for the
 dihedral action on a square one.  `grid_action` picks the larger group
 for a grid; counts stay on the Klein fold, whose determinant is the
-number of Klein-symmetric recurrents.  Each grid group is read off the
-grid's row-major index array: flipped by rows, by columns and by both
-for Klein, and those four arrays with their transposes for D4.
+number of Klein-symmetric recurrents.  Each group is built from its
+generators: the column and row reflections for Klein, and the column
+reflection and a quarter turn for D4.
 """
 
 from itertools import chain, product
@@ -27,47 +27,47 @@ from .linalg import det_int, solve_int
 
 
 class GroupAction:
-    """A finite set of vertex permutations fixing the sink.
+    """The group that the permutations `perms` of the non-sink vertex
+    indices generate (the sink is fixed).
 
-    Permutations are stored as tuples over non-sink vertex indices.
-    Duplicates are removed (so a non-faithful action is automatically
-    replaced by its faithful quotient).  Closure under composition and
-    the presence of the identity are checked at construction, where the
-    orbits are also found once: `orbits` lists them in the order of
-    their least members, `representatives` holds those least members,
-    and `orbit_of[v]` is the index of v's orbit.
+    `generators` holds `perms` as tuples.  `elements` is the group,
+    sorted, closed once under composition with the generators; equal
+    elements (a non-faithful action) are kept once.  `orbits` lists the
+    orbits in the order of their least members, `representatives` holds
+    those least members, and `orbit_of[v]` is the index of v's orbit.
     """
 
     def __init__(self, perms):
-        elems = sorted(set(tuple(p) for p in perms))
-        if not elems:
+        self.generators = [tuple(p) for p in perms]
+        if not self.generators:
             raise ValueError("empty action")
-        n = len(elems[0])
-        ident = tuple(range(n))
-        if ident not in elems:
-            raise ValueError("action does not contain the identity")
-        eset = set(elems)
-        for p in elems:
-            if sorted(p) != list(range(n)):
-                raise ValueError("element is not a permutation")
-            for q in elems:
-                if tuple(p[q[i]] for i in range(n)) not in eset:
-                    raise ValueError("action is not closed under composition")
-        self.elements = elems
+        n = len(self.generators[0])
+        if any(sorted(p) != list(range(n)) for p in self.generators):
+            raise ValueError("element is not a permutation")
+        group, new = set(), {tuple(range(n))}
+        while new:
+            group |= new
+            new = {tuple(map(s.__getitem__, q))
+                   for q in new for s in self.generators} - group
+        self.elements = sorted(group)
         self.degree = n
         self.orbits = []
         self.orbit_of = [None] * n
         for v in range(n):
             if self.orbit_of[v] is None:
-                orb = sorted({p[v] for p in elems})
+                orb = sorted({p[v] for p in self.elements})
                 for u in orb:
                     self.orbit_of[u] = len(self.orbits)
                 self.orbits.append(orb)
         self.representatives = [orb[0] for orb in self.orbits]
 
     def validate_weights(self, g):
-        """Check that every element preserves edge weights (sink included)."""
-        for p in self.elements:
+        """Check that the action permutes g's vertices and that every
+        generator preserves edge weights, sink edges included; products
+        of weight-preserving permutations preserve them too."""
+        if self.degree != g.vertex_count:
+            raise ValueError("action degree is not the graph's vertex count")
+        for p in self.generators:
             for u in range(g.vertex_count):
                 if g.sink_weight[p[u]] != g.sink_weight[u]:
                     raise ValueError("action does not preserve sink edges")
@@ -85,30 +85,26 @@ class GroupAction:
 
 def _reflections(m, n):
     """The row-major index array of the m x n grid, as a list of rows,
-    and the same array flipped by columns, by rows and by both.  Read
-    row-major, each array is the permutation that sends a cell to its
-    image under that reflection."""
+    flipped by columns and by rows.  Read row-major, each array is the
+    permutation that sends a cell to its mirror image."""
     rows = [range(i * n, (i + 1) * n) for i in range(m)]
-    return [rows, [r[::-1] for r in rows],
-            rows[::-1], [r[::-1] for r in rows[::-1]]]
+    return [r[::-1] for r in rows], rows[::-1]
 
 
 def klein_action(m, n):
     """The Klein four-group {e, sigma, tau, sigma.tau} on the m x n grid,
-    where sigma reflects columns and tau reflects rows.  Coincident
-    elements (on one-row or one-column grids) are deduplicated.
-    """
-    return GroupAction(chain.from_iterable(a) for a in _reflections(m, n))
+    generated by sigma, the column reflection, and tau, the row
+    reflection; on a one-row or one-column grid some elements coincide."""
+    return GroupAction(chain(*a) for a in _reflections(m, n))
 
 
 def dihedral_action(n):
-    """The dihedral group D4 on the n x n grid: the Klein four-group and
-    its composites with the transpose (i, j) -> (j, i).  Its h(h+1)/2
-    orbits, h = ceil(n/2), are represented by the cells (i, j) with
+    """The dihedral group D4 on the n x n grid, generated by the column
+    reflection and its transpose, a quarter turn.  Its h(h+1)/2 orbits,
+    h = ceil(n/2), are represented by the cells (i, j) with
     i <= j <= h: about n^2/8, against about n^2/4 for Klein."""
-    arrays = _reflections(n, n)
-    return GroupAction(chain.from_iterable(a)
-                       for a in arrays + [list(zip(*a)) for a in arrays])
+    flip = _reflections(n, n)[0]
+    return GroupAction([chain(*flip), chain(*zip(*flip))])
 
 
 def grid_action(rows, cols):

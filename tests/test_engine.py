@@ -149,6 +149,12 @@ def test_is_recurrent_requires_stable(triangle):
         is_recurrent(triangle, (5, 0, 0))
 
 
+def test_is_recurrent_rejects_wrong_length():
+    for c in [(3, 3), (0, 0, 0, 0, 5)]:
+        with pytest.raises(ValueError, match="wrong length"):
+            is_recurrent(grid_sandpile(2, 2), c)
+
+
 def test_config_order_divides_group_order(triangle):
     # group has order 8; element orders must divide it
     for c in TRIANGLE_RECURRENTS:

@@ -70,15 +70,15 @@ def directed_grid(rows, cols):
     return SandpileGraph(labels, edges, sink, undirected=False)
 
 
-def test_group_action_requires_identity():
-    with pytest.raises(ValueError):
-        GroupAction([(1, 0)])
+def test_group_action_is_the_group_generated():
+    assert GroupAction([(1, 0)]).elements == [(0, 1), (1, 0)]
+    assert GroupAction([(1, 2, 0)]).elements == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
-def test_group_action_requires_closure():
-    # a 3-cycle without its inverse is not closed
-    with pytest.raises(ValueError):
-        GroupAction([(0, 1, 2), (1, 2, 0)])
+def test_group_action_rejects_non_permutations():
+    for perms in ([(0, 0)], [(1, 0), (0, 1, 2)], [(1, 2)]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            GroupAction(perms)
 
 
 def test_group_action_deduplicates():
@@ -88,6 +88,7 @@ def test_group_action_deduplicates():
 
 def test_klein_action_sizes():
     assert len(klein_action(3, 4).elements) == 4
+    assert len(klein_action(3, 4).generators) == 2
     # 1 x n grids: row reflection is trivial, so only 2 distinct elements
     assert len(klein_action(1, 4).elements) == 2
     assert len(klein_action(1, 1).elements) == 1
@@ -104,6 +105,7 @@ def test_dihedral_action_sizes(n):
     h = (n + 1) // 2
     assert len(act.orbits) == h * (h + 1) // 2
     assert len(act.elements) == (8 if n >= 2 else 1)
+    assert len(act.generators) == 2
     act.validate_weights(grid_sandpile(n, n))
 
 
@@ -208,6 +210,25 @@ def test_symmetrized_laplacian_rejects_bad_action(triangle):
     bad = GroupAction([(0, 1, 2), (2, 1, 0)])
     with pytest.raises(ValueError):
         symmetrized_laplacian(triangle, bad)
+
+
+def test_validate_weights_checks_every_generator(triangle, triangle_swap):
+    triangle_swap.validate_weights(triangle)
+    with pytest.raises(ValueError, match="sink edges"):
+        GroupAction([(1, 0, 2), (2, 1, 0)]).validate_weights(triangle)
+
+
+def test_fold_rejects_an_action_of_another_degree():
+    with pytest.raises(ValueError, match="degree"):
+        symmetrized_laplacian(grid_sandpile(1, 3), GroupAction([(0, 1), (1, 0)]))
+
+
+def test_self_loop_laplacian_matches_the_fold():
+    # firing a sends 2 grains to the sink and 1 back to a itself
+    g = SandpileGraph(["a"], {("a", "a"): 1}, {"a": 2})
+    trivial = GroupAction([(0,)])
+    assert reduced_laplacian(g) == symmetrized_laplacian(g, trivial) == [[2]]
+    assert config_order(g, (1,)) == symmetric_config_order(g, trivial, (1,)) == 2
 
 
 @given(st.lists(st.integers(0, 3), min_size=4, max_size=4))
