@@ -9,7 +9,6 @@ same kernel, burning test and identity formula on it.
 
 import os
 from collections import deque
-from itertools import product
 from math import gcd, prod
 
 from .errors import SizeCapError
@@ -75,6 +74,43 @@ def _burns(thresholds, out, c, beta):
     return res == tuple(c) and all(f >= 1 for f in fire)
 
 
+def _recurrents(thresholds, out, beta):
+    """Every configuration of the stable box (0 <= c_v < thresholds[v])
+    that passes the burning test, in lexicographic order.
+
+    Recurrents form an up-set of the box (Dhar): a stable configuration
+    >= a recurrent one is recurrent.  So a prefix has a recurrent
+    completion iff it burns with every later coordinate at its maximum
+    t - 1, and along one coordinate the values that burn form a top
+    interval.  The walk lowers each coordinate from t - 1 until the next
+    value fails, emits c, then raises the last coordinate below its
+    maximum and resets the later ones.  Each result has passed its own
+    test, and k coordinates and R results take at most k*R + 1 tests:
+    each success is a distinct search node, whose scan fails at most once.
+    """
+    top = [t - 1 for t in thresholds]
+    c = list(top)
+    if not _burns(thresholds, out, c, beta):
+        return []
+    found, j = [], 0
+    while True:
+        for j in range(j, len(c)):
+            while c[j] > 0:
+                c[j] -= 1
+                if not _burns(thresholds, out, c, beta):
+                    c[j] += 1
+                    break
+        found.append(tuple(c))
+        j = len(c) - 1
+        while j >= 0 and c[j] == top[j]:
+            j -= 1
+        if j < 0:
+            return found
+        c[j] += 1
+        c[j + 1:] = top[j + 1:]
+        j += 1
+
+
 def _identity(thresholds, out):
     """(c_max + (c_max - (2 c_max)o))o on a firing system."""
     twice = [2 * (t - 1) for t in thresholds]
@@ -122,18 +158,18 @@ def identity_config(g):
 
 
 def enumerate_recurrents(g):
-    """All recurrent configurations, by exhaustive burning tests over the
-    stable configurations.  Subject to the enumeration cap."""
+    """All recurrent configurations, in lexicographic order, by the
+    up-set search of `_recurrents`: its burning tests number at most
+    k*R + 1 for k vertices and R recurrents, not one per stable
+    configuration.  `SANDPILE_ENUM_CAP` still bounds the number of
+    stable configurations, checked before any test; directed graphs are
+    refused, as by `is_recurrent`."""
     total = prod(g.out_degree)
     if total > _enum_cap():
         raise SizeCapError(
             f"{total} stable configurations exceeds cap {_enum_cap()}"
         )
-    return [
-        c
-        for c in product(*(range(d) for d in g.out_degree))
-        if is_recurrent(g, c)
-    ]
+    return _recurrents(g.out_degree, g.out, burning_config(g))
 
 
 def config_order(g, c):

@@ -17,10 +17,10 @@ generators: the column and row reflections for Klein, and the column
 reflection and a quarter turn for D4.
 """
 
-from itertools import chain, product
+from itertools import chain
 from math import gcd, prod
 
-from .engine import _burns, _enum_cap, _identity, burning_config
+from .engine import _enum_cap, _identity, _recurrents, burning_config
 from .errors import SizeCapError, SymmetryError
 from .graphs import SandpileGraph, grid_sandpile
 from .linalg import det_int, solve_int
@@ -206,6 +206,8 @@ def symmetric_config_order(g, action, c):
 
 def fold(action, c):
     """Collapse a symmetric configuration to one value per orbit."""
+    if len(c) != action.degree:
+        raise ValueError("configuration has wrong length")
     for orb in action.orbits:
         if len({c[u] for u in orb}) != 1:
             raise SymmetryError("configuration is not symmetric under the action")
@@ -234,9 +236,10 @@ def enumerate_symmetric_recurrents(g, action):
     """All recurrent configurations fixed by every group element, in the
     lexicographic order of their orbit vectors.
 
-    Iterates over the folded (orbit) space and runs each burning test on
-    the folded system, so the cap applies to the number of symmetric
-    stable configurations rather than all of them.  Like
+    Runs the up-set search `engine._recurrents` on the folded (orbit)
+    system, so its burning tests number at most k*R + 1 for k orbits
+    and R results.  `SANDPILE_ENUM_CAP` still bounds the box, the number
+    of symmetric stable configurations, checked before any test.  Like
     `engine.is_recurrent`, refuses directed graphs.
     """
     thresholds, out = _folded_system(g, action)
@@ -246,6 +249,4 @@ def enumerate_symmetric_recurrents(g, action):
         raise SizeCapError(
             f"{total} symmetric stable configurations exceeds cap {_enum_cap()}"
         )
-    return [unfold(action, o)
-            for o in product(*(range(t) for t in thresholds))
-            if _burns(thresholds, out, o, beta)]
+    return [unfold(action, o) for o in _recurrents(thresholds, out, beta)]

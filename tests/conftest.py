@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from sandpiles import SandpileGraph, GroupAction
+from sandpiles.engine import _burns
 
 
 @pytest.fixture
@@ -26,3 +29,10 @@ TRIANGLE_RECURRENTS = {
     (0, 2, 1), (1, 2, 0), (1, 2, 1), (2, 0, 1),
     (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1),
 }
+
+
+def recurrents_by_filter(thresholds, out, beta):
+    """The brute-force oracle for `engine._recurrents`: one burning test
+    per configuration of the stable box, in lexicographic order."""
+    return [c for c in product(*(range(t) for t in thresholds))
+            if _burns(thresholds, out, c, beta)]

@@ -154,7 +154,7 @@ def test_identity_bytes_are_pinned(capsys, tmp_path, rows, cols, fmt, digest):
         assert tuple(flat) == identity_config(grid_sandpile(rows, cols))
 
 
-@pytest.mark.parametrize("rows,cols", [(5, 5), (8, 4), (4, 6)])
+@pytest.mark.parametrize("rows,cols", [(5, 5), (8, 4), (4, 6), (6, 6), (6, 5)])
 def test_count_symmetric_enumerate_matches_det(capsys, rows, cols):
     values = []
     for method in ("enumerate", "det"):
@@ -242,7 +242,11 @@ def test_usage_errors(capsys):
 
 
 def test_size_cap_exit_code(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("a burning test ran")
+
     monkeypatch.setenv("SANDPILE_ENUM_CAP", "5")
+    monkeypatch.setattr("sandpiles.engine._burns", unused)
     code, _, err = run_cli(capsys, "count-symmetric", "--rows", "6",
                            "--cols", "6", "--method", "enumerate")
     assert code == 3

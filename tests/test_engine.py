@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (
+    SandpileGraph,
     burning_config,
     config_order,
     d_family,
@@ -18,10 +19,11 @@ from sandpiles import (
     stabilize,
     stable_add,
 )
-from sandpiles.engine import _topple, is_stable
+from sandpiles.engine import _recurrents, _topple, is_stable
 from sandpiles.errors import SizeCapError
+from sandpiles.linalg import det_int
 
-from conftest import TRIANGLE_RECURRENTS
+from conftest import TRIANGLE_RECURRENTS, recurrents_by_filter
 
 
 def naive_topple(thresholds, out, c, rng):
@@ -103,6 +105,43 @@ def test_triangle_recurrents(triangle):
     assert set(enumerate_recurrents(triangle)) == TRIANGLE_RECURRENTS
 
 
+@st.composite
+def undirected_graphs(draw):
+    """A small undirected graph with edge and sink weights 0..2 in which
+    every vertex reaches the sink."""
+    n = draw(st.integers(1, 5))
+    edges = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            wt = draw(st.integers(0, 2))
+            edges[(u, v)] = edges[(v, u)] = wt
+    sink = {u: draw(st.integers(0, 2)) for u in range(n)}
+    try:
+        return SandpileGraph(range(n), edges, sink)
+    except ValueError:  # a vertex without a path to the sink
+        assume(False)
+
+
+@given(undirected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_up_set_search_matches_the_filter(g):
+    system = (g.out_degree, g.out, burning_config(g))
+    found = _recurrents(*system)
+    assert found == recurrents_by_filter(*system)
+    assert enumerate_recurrents(g) == found
+    assert len(found) == det_int(reduced_laplacian(g))
+
+
+def test_up_set_search_on_the_empty_system():
+    assert _recurrents([], [], []) == recurrents_by_filter([], [], []) == [()]
+    assert enumerate_recurrents(SandpileGraph([], {}, {})) == [()]
+
+
+def test_enumerate_recurrents_refuses_directed_graphs():
+    with pytest.raises(ValueError, match="undirected"):
+        enumerate_recurrents(d_family("Dprime", 1, 2))
+
+
 def test_triangle_identity(triangle):
     assert identity_config(triangle) == (2, 2, 0)
 
@@ -122,8 +161,6 @@ def test_identity_idempotent_small_grids():
 
 
 def test_recurrent_count_matches_determinant():
-    from sandpiles.linalg import det_int
-
     for g in [grid_sandpile(1, 3), grid_sandpile(2, 2), p_graph(2)]:
         assert len(enumerate_recurrents(g)) == det_int(reduced_laplacian(g))
 
@@ -195,7 +232,11 @@ def test_config_order_directed_graph():
 
 
 def test_enumeration_cap(monkeypatch):
+    def unused(*args):
+        raise AssertionError("a burning test ran")
+
     monkeypatch.setenv("SANDPILE_ENUM_CAP", "10")
+    monkeypatch.setattr("sandpiles.engine._burns", unused)
     with pytest.raises(SizeCapError):
         enumerate_recurrents(grid_sandpile(2, 2))
 

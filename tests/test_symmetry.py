@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sandpiles import (
     GroupAction,
     SandpileGraph,
+    burning_config,
     config_order,
     count_symmetric_recurrents,
     dihedral_action,
@@ -25,10 +26,12 @@ from sandpiles import (
     symmetrized_laplacian,
     unfold,
 )
-from sandpiles.engine import _topple
+from sandpiles.engine import _burns, _recurrents, _topple
 from sandpiles.errors import SymmetryError
 from sandpiles.linalg import det_int
 from sandpiles.symmetry import _folded_system
+
+from conftest import recurrents_by_filter
 
 # one grid per parity class, both orientations of even x odd, and the
 # degenerate shapes on which some Klein elements coincide
@@ -243,6 +246,12 @@ def test_fold_rejects_asymmetric(triangle_swap):
         fold(triangle_swap, (0, 1, 0))
 
 
+def test_fold_rejects_wrong_length():
+    for c in [(1,) * 6, (1,) * 2]:
+        with pytest.raises(ValueError, match="wrong length"):
+            fold(klein_action(2, 2), c)
+
+
 def test_symmetric_recurrents_triangle(triangle, triangle_swap):
     found = enumerate_symmetric_recurrents(triangle, triangle_swap)
     assert sorted(found) == [(2, 2, 0), (2, 2, 1)]
@@ -326,6 +335,47 @@ def test_folded_burning_matches_unfolded_filter(rows, cols):
 def test_folded_burning_matches_unfolded_filter_triangle(triangle, triangle_swap):
     assert (enumerate_symmetric_recurrents(triangle, triangle_swap)
             == symmetric_recurrents_by_filter(triangle, triangle_swap))
+
+
+# Klein folds of every parity class, odd grids with a centre orbit, the
+# lines 1 x n and n x 1, and D4 folds of square grids
+FOLDS = ([("klein", shape) for shape in [(1, 1), (1, 5), (1, 6), (6, 1), (2, 2),
+                                          (3, 3), (3, 4), (3, 5), (5, 3), (4, 5),
+                                          (6, 4)]]
+         + [("dihedral", (n, n)) for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("group,shape", FOLDS)
+def test_up_set_search_matches_the_filter_on_folds(group, shape):
+    g = grid_sandpile(*shape)
+    act = klein_action(*shape) if group == "klein" else dihedral_action(shape[0])
+    system = (*_folded_system(g, act), fold(act, burning_config(g)))
+    assert _recurrents(*system) == recurrents_by_filter(*system)
+
+
+def test_up_set_search_matches_the_filter_triangle(triangle, triangle_swap):
+    # the u, v orbit feeds its own representative
+    system = (*_folded_system(triangle, triangle_swap),
+              fold(triangle_swap, burning_config(triangle)))
+    assert _recurrents(*system) == recurrents_by_filter(*system) == [(2, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 4), (4, 8), (6, 6)])
+def test_up_set_search_work_is_bounded_by_the_output(monkeypatch, rows, cols):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _burns(*args)
+
+    monkeypatch.setattr("sandpiles.engine._burns", counted)
+    g, act = grid_sandpile(rows, cols), klein_action(rows, cols)
+    found = enumerate_symmetric_recurrents(g, act)
+    assert len(found) == count_symmetric_recurrents(g, act)
+    # each result passed its own test, so the counter saw every call
+    assert len(found) <= len(calls) <= len(act.orbits) * len(found) + 1
+    if (rows, cols) == (8, 4):
+        assert len(calls) < 4**8 // 8  # the box has 4^8 orbit vectors
 
 
 def test_symmetric_recurrents_refuse_directed_graphs():
