@@ -35,6 +35,8 @@ from .symmetry import (
     grid_action,
     d_family,
     symmetrized_laplacian,
+    split_by_involution,
+    transpose_orbits,
     count_symmetric_recurrents,
     symmetric_config_order,
     symmetric_identity,

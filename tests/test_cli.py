@@ -254,10 +254,10 @@ def test_size_cap_exit_code(capsys, monkeypatch):
 
 
 def test_product_16x16_is_exact(capsys, monkeypatch):
-    def unused(rows, cols):
+    def unused(g, action):
         raise AssertionError("the symmetrized Laplacian was built")
 
-    monkeypatch.setattr("sandpiles.checks.sym_laplacian", unused)
+    monkeypatch.setattr("sandpiles.checks.symmetrized_laplacian", unused)
     code, out, err = run_cli(capsys, "count-symmetric", "--rows", "16",
                              "--cols", "16", "--method", "product")
     assert code == 0
