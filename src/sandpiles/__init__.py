@@ -37,7 +37,6 @@ from .symmetry import (
     symmetrized_laplacian,
     split_by_involution,
     transpose_orbits,
-    count_symmetric_recurrents,
     symmetric_config_order,
     symmetric_identity,
     enumerate_symmetric_recurrents,

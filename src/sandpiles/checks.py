@@ -51,8 +51,6 @@ def tiling_board(parity, m, n):
     if parity == "even_even":
         return board_graph("plain", 2 * m, 2 * n)
     if parity == "even_odd":
-        if n == 1:
-            return board_graph("mobius_weighted", 2 * m - 1, 2)
         return board_graph("mobius_weighted", 2 * m, 2 * n)
     return board_graph("two_weighted", 2 * m, 2 * n)
 
@@ -89,12 +87,6 @@ def _grid_row(rows, cols):
             "values": values}
 
 
-def _laplacian_times(g, c):
-    """L c for the reduced Laplacian L of g, read off the edge lists."""
-    return tuple(g.out_degree[v] * c[v] - sum(wt * c[w] for w, wt in out.items())
-                 for v, out in enumerate(g.out))
-
-
 def _phi_check(n):
     """The staircase is the D4 fold of the 2n x 2n grid: the symmetrized
     Laplacian, rows and columns reversed, is L(P_n) with the rows of the
@@ -123,23 +115,30 @@ def _staircase_row(n):
     pg = p_graph(n)
     values["order_two_staircase"] = config_order(pg, (2,) * pg.vertex_count)
     values["order_transfer"] = values["order_two_staircase"] == order_sq
-    values["distance_maps_to_diagonal"] = (
-        _laplacian_times(pg, distance_config(n)) == diagonal_config(n))
+    dist = distance_config(n)
+    values["distance_maps_to_diagonal"] = diagonal_config(n) == tuple(
+        sum(x * d for x, d in zip(row, dist)) for row in reduced_laplacian(pg))
     values["embedding_compatible"] = _phi_check(n)
     return {"kind": "staircase", "m": n, "n": n, "values": values}
 
 
 def verify_rows(max_m, max_n):
-    """Yield the verification matrix row by row: one row per parity class
-    for each m <= max_m, n <= max_n, then one staircase row for each
-    n <= max_n."""
+    """The verification matrix as a list of rows: one row per parity
+    class for each m <= max_m, n <= max_n, then one staircase row for
+    each n <= max_n.
+
+    The grid rows are computed last to first, then the staircase rows.
+    Only grid rows hold capped work (the Mobius seam work and the
+    closed forms' Sylvester dimension), and it grows with m and n, so a
+    size cap trips on the largest grid, before any other work."""
+    shapes = []
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            yield _grid_row(2 * m, 2 * n)  # even_even
-            yield _grid_row(2 * m, 2 * n - 1)  # even_odd
-            yield _grid_row(2 * m - 1, 2 * n - 1)  # odd_odd
-    for n in range(1, max_n + 1):
-        yield _staircase_row(n)
+            shapes += [(2 * m, 2 * n),  # even_even
+                       (2 * m, 2 * n - 1),  # even_odd
+                       (2 * m - 1, 2 * n - 1)]  # odd_odd
+    rows = [_grid_row(*shape) for shape in reversed(shapes)][::-1]
+    return rows + [_staircase_row(n) for n in range(1, max_n + 1)]
 
 
 def row_agrees(row):

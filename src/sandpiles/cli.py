@@ -102,8 +102,9 @@ def cmd_identity(args):
 
 def cmd_verify(args):
     ok = True
-    # every row first, so that a size cap tripped late prints no rows
-    for row in list(checks.verify_rows(args.max_m, args.max_n)):
+    # verify_rows returns only when every row is computed, so a size cap
+    # prints no rows
+    for row in checks.verify_rows(args.max_m, args.max_n):
         row["agree"] = checks.row_agrees(row)
         ok = ok and row["agree"]
         print(json.dumps(row))

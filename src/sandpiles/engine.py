@@ -87,7 +87,12 @@ def _recurrents(thresholds, out, beta):
     maximum and resets the later ones.  Each result has passed its own
     test, and k coordinates and R results take at most k*R + 1 tests:
     each success is a distinct search node, whose scan fails at most once.
+    `SANDPILE_ENUM_CAP` bounds the box, prod(thresholds), checked before
+    any test.
     """
+    total = prod(thresholds)
+    if total > _enum_cap():
+        raise SizeCapError(f"{total} stable configurations exceeds cap {_enum_cap()}")
     top = [t - 1 for t in thresholds]
     c = list(top)
     if not _burns(thresholds, out, c, beta):
@@ -137,8 +142,6 @@ def is_recurrent(g, c):
     """Burning test: add the burning configuration and stabilize; c is
     recurrent iff the result is c again with every vertex having fired.
     """
-    if not g.undirected:
-        raise ValueError("recurrence test is defined for undirected graphs")
     if not is_stable(g, c):
         raise ValueError("recurrence test requires a stable configuration")
     return _burns(g.out_degree, g.out, c, burning_config(g))
@@ -146,7 +149,7 @@ def is_recurrent(g, c):
 
 def stable_add(g, a, b):
     """(a + b) stabilized."""
-    return stabilize(g, tuple(x + y for x, y in zip(a, b)))[0]
+    return stabilize(g, tuple(x + y for x, y in zip(a, b, strict=True)))[0]
 
 
 def identity_config(g):
@@ -161,14 +164,8 @@ def enumerate_recurrents(g):
     """All recurrent configurations, in lexicographic order, by the
     up-set search of `_recurrents`: its burning tests number at most
     k*R + 1 for k vertices and R recurrents, not one per stable
-    configuration.  `SANDPILE_ENUM_CAP` still bounds the number of
-    stable configurations, checked before any test; directed graphs are
-    refused, as by `is_recurrent`."""
-    total = prod(g.out_degree)
-    if total > _enum_cap():
-        raise SizeCapError(
-            f"{total} stable configurations exceeds cap {_enum_cap()}"
-        )
+    configuration, and `SANDPILE_ENUM_CAP` bounds the number of stable
+    configurations.  Directed graphs are refused, as by `is_recurrent`."""
     return _recurrents(g.out_degree, g.out, burning_config(g))
 
 
@@ -176,10 +173,14 @@ def config_order(g, c):
     """Least k >= 1 with k*c in the lattice the firings span.
 
     Firing v subtracts row v of the reduced Laplacian L, so that lattice
-    is L^T Z^n (L^T = L on undirected graphs).  With det = det(L) and
-    y = det * L^-T c the integer Cramer numerators, the order is
-    |det| / gcd(det, y).
+    is L^T Z^n (L^T = L on undirected graphs).
     """
-    lap_t = list(zip(*reduced_laplacian(g)))
-    det, y = solve_int(lap_t, list(c))
+    return _order(list(zip(*reduced_laplacian(g))), c)
+
+
+def _order(m, c):
+    """Least k >= 1 with k*c in M Z^n, for a nonsingular integer matrix
+    M.  With det = det(M) and y = det * M^-1 c the integer Cramer
+    numerators, it is |det| / gcd(det, y)."""
+    det, y = solve_int(m, list(c))
     return abs(det) // gcd(det, *y)

@@ -14,7 +14,12 @@ b (the folded grid Laplacians, numbered row-major, have b = n for an
 m x n orbit grid) elimination then costs O(N b^2) big-integer steps,
 plus O(N^2) zero tests, instead of O(N^3); the result is the same exact
 value on every input.
+
+Entries are taken through `operator.index`, so a float or a Fraction
+raises TypeError instead of being truncated to an integer.
 """
+
+from operator import index
 
 
 def _check_square(m):
@@ -91,7 +96,7 @@ def det_int(m):
     n = _check_square(m)
     if n == 0:
         return 1
-    a = [[int(x) for x in row] for row in m]
+    a = [[index(x) for x in row] for row in m]
     swaps = _bareiss(a, [0] * n)
     return 0 if swaps is None else (-1) ** swaps * a[n - 1][n - 1]
 
@@ -104,7 +109,7 @@ def leading_minors(m):
     then swap rows, and its diagonal would no longer hold the minors.
     """
     n = _check_square(m)
-    a = [[int(x) for x in row] for row in m]
+    a = [[index(x) for x in row] for row in m]
     if _bareiss(a, [0] * n) != 0:  # None (singular) or a swap
         raise ValueError("a leading principal minor is zero")
     return [a[k][k] for k in range(n)]
@@ -119,8 +124,8 @@ def solve_int(m, b):
     n = _check_square(m)
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    a = [[int(x) for x in row] for row in m]
-    rhs = [int(bv) for bv in b]
+    a = [[index(x) for x in row] for row in m]
+    rhs = [index(bv) for bv in b]
     swaps = _bareiss(a, rhs)
     last = a[n - 1][n - 1] if n else 1
     if swaps is None or last == 0:

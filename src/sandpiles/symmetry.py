@@ -21,12 +21,11 @@ for Klein, and the column reflection and a quarter turn for D4.
 """
 
 from itertools import chain
-from math import gcd, prod
 
-from .engine import _enum_cap, _identity, _recurrents, burning_config
-from .errors import SizeCapError, SymmetryError
+from .engine import _identity, _order, _recurrents, burning_config
+from .errors import SymmetryError
 from .graphs import SandpileGraph, grid_sandpile
-from .linalg import _check_square, det_int, solve_int
+from .linalg import _check_square
 
 
 class GroupAction:
@@ -222,10 +221,6 @@ def d_family(kind, m, n):
     return SandpileGraph(labels, edges, sink, undirected=(kind == "D"))
 
 
-def count_symmetric_recurrents(g, action):
-    return det_int(symmetrized_laplacian(g, action))
-
-
 def symmetric_config_order(g, action, c):
     """Element order of a configuration c fixed by the action, solved on
     the folded system of one unknown per orbit.
@@ -234,14 +229,11 @@ def symmetric_config_order(g, action, c):
     taken against L^T (see `engine.config_order`).  L^T commutes with
     the action, so x = L^-T c is fixed by it, and L^T x = c folds to
     S z = fold(c) with x = unfold(z) and S the symmetrized Laplacian,
-    which is the fold of L^T; this holds on directed graphs too.  With
-    det = det(S) and y = det * z, the order is |det| / gcd(det, y).
-    Raises SymmetryError if c is not symmetric.
+    which is the fold of L^T; this holds on directed graphs too.  So the
+    order is that of fold(c) against S (`engine._order`).  Raises
+    SymmetryError if c is not symmetric.
     """
-    if len(c) != g.vertex_count:
-        raise ValueError("configuration has wrong length")
-    det, y = solve_int(symmetrized_laplacian(g, action), list(fold(action, c)))
-    return abs(det) // gcd(det, *y)
+    return _order(symmetrized_laplacian(g, action), fold(action, c))
 
 
 def fold(action, c):
@@ -278,15 +270,10 @@ def enumerate_symmetric_recurrents(g, action):
 
     Runs the up-set search `engine._recurrents` on the folded (orbit)
     system, so its burning tests number at most k*R + 1 for k orbits
-    and R results.  `SANDPILE_ENUM_CAP` still bounds the box, the number
-    of symmetric stable configurations, checked before any test.  Like
-    `engine.is_recurrent`, refuses directed graphs.
+    and R results, and `SANDPILE_ENUM_CAP` bounds the box, the number of
+    symmetric stable configurations.  Like `engine.is_recurrent`,
+    refuses directed graphs.
     """
     thresholds, out = _folded_system(g, action)
     beta = fold(action, burning_config(g))
-    total = prod(thresholds)
-    if total > _enum_cap():
-        raise SizeCapError(
-            f"{total} symmetric stable configurations exceeds cap {_enum_cap()}"
-        )
     return [unfold(action, o) for o in _recurrents(thresholds, out, beta)]

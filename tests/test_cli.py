@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from sandpiles import grid_sandpile, identity_config
+from sandpiles import board_graph, count_matchings, grid_sandpile, identity_config
 from sandpiles.cli import main
 
 
@@ -220,6 +220,26 @@ def test_verify_beyond_a_cap_prints_no_rows(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "cap" in err
+
+
+def test_verify_refuses_on_the_largest_mobius_board_first(capsys, monkeypatch):
+    # seam work: 16,768 for the Mobius 4x2 board, 69,376 for 6x2
+    monkeypatch.setattr("sandpiles.tilings.SEAM_WORK_CAP", 20_000)
+    counted = []
+
+    def recording(board):
+        counted.append(board)
+        return count_matchings(board)
+
+    monkeypatch.setattr("sandpiles.checks.count_matchings", recording)
+    code, out, err = run_cli(capsys, "verify", "--max-m", "3", "--max-n", "1")
+    assert (code, out) == (3, "")
+    assert "cap" in err
+    # only the 6x2 boards of the last two grid rows (5x1, then 6x1) were
+    # counted, the Mobius board last: no smaller Mobius board, no
+    # staircase board
+    assert {max(board.vertices) for board in counted} == {(6, 2)}
+    assert counted[-1].edges == board_graph("mobius", 6, 2).edges
 
 
 def test_a_seq(capsys):

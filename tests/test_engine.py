@@ -192,6 +192,13 @@ def test_is_recurrent_rejects_wrong_length():
             is_recurrent(grid_sandpile(2, 2), c)
 
 
+def test_stable_add_rejects_unequal_lengths():
+    g = grid_sandpile(2, 2)
+    for a, b in [((1, 1, 1, 1, 9), (0, 0, 0, 0)), ((0, 0, 0, 0), (1, 1, 1, 1, 9))]:
+        with pytest.raises(ValueError):
+            stable_add(g, a, b)
+
+
 def test_config_order_divides_group_order(triangle):
     # group has order 8; element orders must divide it
     for c in TRIANGLE_RECURRENTS:

@@ -135,6 +135,24 @@ def test_leading_minors_refuse_a_swap():
         leading_minors([[1, 2], [2, 4]])  # singular
 
 
+def test_det_refuses_inexact_entries():
+    for mat in ([[1.5]], [[Fraction(7, 2), 0], [0, 1]], [[2.0]]):
+        with pytest.raises(TypeError):
+            det_int(mat)
+
+
+def test_leading_minors_refuse_inexact_entries():
+    with pytest.raises(TypeError):
+        leading_minors([[2.5, 0], [0, 1.9]])
+
+
+def test_solve_int_refuses_inexact_entries():
+    with pytest.raises(TypeError):
+        solve_int([[2.5, 0], [0, 1]], [1, 1])
+    with pytest.raises(TypeError):
+        solve_int([[2, 0], [0, 1]], [Fraction(1, 2), 1])
+
+
 def test_det_singular():
     assert det_int([[1, 2], [2, 4]]) == 0
 

@@ -10,7 +10,6 @@ from sandpiles import (
     a_seq_upto,
     burning_config,
     config_order,
-    count_symmetric_recurrents,
     dihedral_action,
     enumerate_recurrents,
     enumerate_symmetric_recurrents,
@@ -251,7 +250,7 @@ def test_orbit_counts():
 
 def test_symmetrized_laplacian_triangle(triangle, triangle_swap):
     assert symmetrized_laplacian(triangle, triangle_swap) == [[2, -1], [-2, 2]]
-    assert count_symmetric_recurrents(triangle, triangle_swap) == 2
+    assert det_int(symmetrized_laplacian(triangle, triangle_swap)) == 2
 
 
 def test_symmetrized_laplacian_4x4():
@@ -338,7 +337,7 @@ def test_symmetric_recurrents_are_the_symmetric_ones():
         if all(act.apply(p, c) == c for p in act.elements)
     }
     assert sym == by_filter
-    assert len(sym) == count_symmetric_recurrents(g, act)
+    assert len(sym) == det_int(symmetrized_laplacian(g, act))
 
 
 def test_identity_is_symmetric():
@@ -401,7 +400,7 @@ def test_folded_burning_matches_unfolded_filter(rows, cols):
     g, act = grid_sandpile(rows, cols), klein_action(rows, cols)
     found = enumerate_symmetric_recurrents(g, act)
     assert found == symmetric_recurrents_by_filter(g, act)
-    assert len(found) == count_symmetric_recurrents(g, act)
+    assert len(found) == det_int(symmetrized_laplacian(g, act))
 
 
 def test_folded_burning_matches_unfolded_filter_triangle(triangle, triangle_swap):
@@ -443,7 +442,7 @@ def test_up_set_search_work_is_bounded_by_the_output(monkeypatch, rows, cols):
     monkeypatch.setattr("sandpiles.engine._burns", counted)
     g, act = grid_sandpile(rows, cols), klein_action(rows, cols)
     found = enumerate_symmetric_recurrents(g, act)
-    assert len(found) == count_symmetric_recurrents(g, act)
+    assert len(found) == det_int(symmetrized_laplacian(g, act))
     # each result passed its own test, so the counter saw every call
     assert len(found) <= len(calls) <= len(act.orbits) * len(found) + 1
     if (rows, cols) == (8, 4):

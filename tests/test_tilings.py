@@ -74,6 +74,15 @@ def test_mobius_counts_known():
     assert count_matchings(board_graph("mobius", 4, 1)) == 3
 
 
+def test_even_odd_board_at_one_column():
+    # the 2m x 2 board is the general even x odd board at n = 1; the
+    # (2m - 1) x 2 board has the same count
+    for m in range(1, 41):
+        count = count_matchings(board_graph("mobius_weighted", 2 * m, 2))
+        assert count == count_matchings(board_graph("mobius_weighted", 2 * m - 1, 2))
+        assert count == checks.det_count(2 * m, 1)
+
+
 @st.composite
 def lattice_subgraphs(draw):
     """A lattice graph of at most 20 cells with cells and edges dropped
