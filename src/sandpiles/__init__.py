@@ -35,8 +35,6 @@ from .symmetry import (
     grid_action,
     d_family,
     symmetrized_laplacian,
-    split_by_involution,
-    transpose_orbits,
     symmetric_config_order,
     symmetric_identity,
     enumerate_symmetric_recurrents,

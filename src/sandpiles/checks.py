@@ -20,10 +20,8 @@ from .symmetry import (
     enumerate_symmetric_recurrents,
     grid_action,
     klein_action,
-    split_by_involution,
     symmetric_config_order,
     symmetrized_laplacian,
-    transpose_orbits,
 )
 from .tilings import a_seq, count_matchings, diagonal_config, distance_config
 
@@ -34,16 +32,21 @@ def sym_laplacian(rows, cols):
 
 
 def det_count(rows, cols):
-    """The determinant of the Klein fold S.  On a square grid the
-    transpose permutes the Klein orbits and commutes with S, so det S is
-    the product of the determinants of S's two transpose blocks
-    (`split_by_involution`), each with about half the rows and bits."""
-    action = klein_action(rows, cols)
+    """The determinant of the Klein fold S.  On an n x n grid the
+    transpose splits S into two blocks, and the even one is the D4 fold
+    S_D4.  A configuration odd under the transpose is odd under the
+    anti-transpose too (sigma.tau.transpose), so it is zero on both
+    diagonals, and no edge crosses a diagonal but through a diagonal
+    cell: the odd block is S_D4 on the orbits off the diagonals, those
+    whose least cell (i, j) has i != j (an orbit that meets the
+    anti-diagonal meets the diagonal).  Each block has about half the
+    rows and bits of S."""
+    action = grid_action(rows, cols)
     sym = symmetrized_laplacian(grid_sandpile(rows, cols), action)
     if rows != cols:
         return det_int(sym)
-    plus, minus = split_by_involution(sym, transpose_orbits(action, rows))
-    return det_int(plus) * det_int(minus)
+    off = [o for o, r in enumerate(action.representatives) if r // rows != r % rows]
+    return det_int(sym) * det_int([[sym[a][b] for b in off] for a in off])
 
 
 def tiling_board(parity, m, n):
@@ -128,9 +131,10 @@ def verify_rows(max_m, max_n):
     each n <= max_n.
 
     The grid rows are computed last to first, then the staircase rows.
-    Only grid rows hold capped work (the Mobius seam work and the
-    closed forms' Sylvester dimension), and it grows with m and n, so a
-    size cap trips on the largest grid, before any other work."""
+    The grid rows' capped work (the tiling work and the closed forms'
+    Sylvester dimension) grows with m and n, so a size cap on it trips
+    on the largest grid, before any other work.  A staircase row's plain
+    2n x 2n board passes the tiling cap up to n = 52."""
     shapes = []
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):

@@ -12,10 +12,9 @@ tests of symmetric configurations all run on it, with about N/4
 unknowns for the Klein action on an N-vertex grid and about N/8 for the
 dihedral action on a square one.  `grid_action` picks the larger group
 for a grid.  Counts are of Klein-symmetric recurrents, the determinant
-of the Klein fold S; on a square grid the transpose permutes the Klein
-orbits (`transpose_orbits`) and commutes with S, so S splits into two
-integer blocks of about half the size, the D4 fold and a transpose-odd
-block, whose determinants multiply to det S (`split_by_involution`).
+of the Klein fold S; on a square grid it is det S_D4 times the
+determinant of S_D4's rows and columns off both diagonals
+(`checks.det_count`).
 Each group is built from its generators: the column and row reflections
 for Klein, and the column reflection and a quarter turn for D4.
 """
@@ -25,7 +24,6 @@ from itertools import chain
 from .engine import _identity, _order, _recurrents, burning_config
 from .errors import SymmetryError
 from .graphs import SandpileGraph, grid_sandpile
-from .linalg import _check_square
 
 
 class GroupAction:
@@ -113,10 +111,8 @@ def grid_action(rows, cols):
     """The largest grid symmetry group the package folds by: D4 on a
     square grid, the Klein four-group otherwise.  Both fix every
     constant configuration and the identity, and every element order is
-    the same on either fold.  Counts are not taken on this fold: they
-    stay Klein counts, which on a square grid are det S_D4 times the
-    determinant of the transpose-odd block of the Klein fold
-    (`split_by_involution`)."""
+    the same on either fold.  Counts stay Klein counts; on a square
+    grid they are taken from this fold too (`checks.det_count`)."""
     return dihedral_action(rows) if rows == cols else klein_action(rows, cols)
 
 
@@ -156,40 +152,6 @@ def symmetrized_laplacian(g, action):
         for row, wt in gains.items():
             sym[row][col] -= wt
     return sym
-
-
-def split_by_involution(sym, tau):
-    """The blocks (S+, S-) of a k x k matrix S that commutes with an
-    involution tau of its indices, so that det S = det S+ * det S-.
-
-    In the basis of the tau-even vectors e_o + e_tau(o) (o < tau(o)) and
-    e_o (o = tau(o)), then the tau-odd ones e_o - e_tau(o) (o < tau(o)),
-    S is blockdiag(S+, S-): S+ has the entries S[p][o] + S[p][tau(o)]
-    (just S[p][o] when o is fixed) and S- the entries S[p][o] -
-    S[p][tau(o)], rows p and columns o both in index order.  Both are
-    integer matrices when S is.  Raises ValueError unless tau is an
-    involution of range(k) and S[tau(a)][tau(b)] == S[a][b] for all a, b.
-    """
-    k = _check_square(sym)
-    if sorted(tau) != list(range(k)) or any(tau[t] != o for o, t in enumerate(tau)):
-        raise ValueError("index map is not an involution")
-    if any([image[t] for t in tau] != list(row)
-           for image, row in zip(map(sym.__getitem__, tau), sym)):
-        raise ValueError("matrix does not commute with the involution")
-    even = [(o, t) for o, t in enumerate(tau) if o <= t]
-    odd = [(o, t) for o, t in even if o < t]
-    plus = [[row[o] + row[t] if o < t else row[o] for o, t in even]
-            for row in (sym[p] for p, _ in even)]
-    minus = [[row[o] - row[t] for o, t in odd] for row in (sym[p] for p, _ in odd)]
-    return plus, minus
-
-
-def transpose_orbits(action, n):
-    """The orbit map the transpose (i, j) -> (j, i) of the n x n grid
-    induces on the orbits of an action on that grid: tau[o] is the orbit
-    of the transposed representative of orbit o.  For the Klein action,
-    which the transpose normalizes, it is an involution."""
-    return [action.orbit_of[r % n * n + r // n] for r in action.representatives]
 
 
 def d_family(kind, m, n):

@@ -5,9 +5,9 @@ a Kasteleyn determinant |det K| (Kasteleyn 1961; Temperley-Fisher 1961):
 K is the black x white biadjacency matrix, +w on horizontal edges and
 (-1)^col w on vertical ones, which is valid when every bounded face is a
 unit square.  Twisted (wrap-edge) boards sum that count over all seam
-subsets, when the estimated work is within SEAM_WORK_CAP.  Any other
-small graph falls back to recursive enumeration, which doubles as the
-oracle for the determinant in the tests.
+subsets.  Every lattice board, twisted or not, is counted only when its
+estimated work is within SEAM_WORK_CAP.  Any other small graph falls
+back to recursive enumeration, the oracle for the determinant in tests.
 
 The staircase graph P_n is the 2n x 2n grid folded by its dihedral
 symmetries.  Numbered row-major, L(P_(k-1)) is the leading block of
@@ -23,12 +23,12 @@ from .linalg import det_int, leading_minors
 from .symmetry import dihedral_action, unfold
 
 ENUM_VERTEX_CAP = 28
-# A twisted board costs 2^wraps determinants.  Each costs about
-# cells x side^2 bignum updates (side the shorter side, K's band), plus
-# (cells/2)^2 to build the dense K and scan it for zeros, plus a fixed
-# SEAM_PASS_COST for the cell list; one unit is about 30 ns (Python
-# 3.11, one 2-core VM).  12x12 is 1.1e8 (about 2.5 s); 16x4 is 2.0e8
-# and 18x2 3.8e8.
+# A board costs 2^wraps determinants, one on a plain board.  Each costs
+# about cells x side^2 bignum updates (side the shorter side, K's band),
+# plus (cells/2)^2 to build the dense K and scan it for zeros, plus a
+# fixed SEAM_PASS_COST for the cell list; one unit is about 30 ns
+# (Python 3.11, one 2-core VM).  The Mobius 12x12 board is 1.1e8 (about
+# 2.5 s), 16x4 is 2.0e8 and 18x2 3.8e8; the plain 200x200 board is 2.0e9.
 SEAM_PASS_COST = 1000
 SEAM_WORK_CAP = 15 * 10**7
 
@@ -116,15 +116,14 @@ def count_matchings(board):
     split = _grid_structure(board)
     if split is not None and _faces_are_unit_squares(board.vertices, split[0]):
         unit, wraps = split
-        if wraps:
-            size = len(board.vertices)
-            side = min(len({r for r, _ in board.vertices}),
-                       len({c for _, c in board.vertices}))
-            work = 2 ** len(wraps) * (size * side**2 + (size // 2) ** 2
-                                      + SEAM_PASS_COST)
-            if work > SEAM_WORK_CAP:
-                raise SizeCapError(f"{len(wraps)} wrap edges on {size} "
-                                   f"cells: seam work {work} exceeds {SEAM_WORK_CAP}")
+        size = len(board.vertices)
+        side = min(len({r for r, _ in board.vertices}),
+                   len({c for _, c in board.vertices}))
+        work = 2 ** len(wraps) * (size * side**2 + (size // 2) ** 2
+                                  + SEAM_PASS_COST)
+        if work > SEAM_WORK_CAP:
+            raise SizeCapError(f"{size} cells, {len(wraps)} wrap edges: "
+                               f"work {work} exceeds {SEAM_WORK_CAP}")
         # Each pass removes cells of the first and last columns, which lie
         # on the outer face, so the remaining faces stay unit squares.
         total = 0

@@ -213,9 +213,11 @@ def test_verify_prints_an_exact_ratio_when_the_power_check_fails(
 
 
 def test_verify_beyond_a_cap_prints_no_rows(capsys, monkeypatch):
-    # the even_even row passes; the Mobius board of the even_odd row is
-    # refused, and the even_even row must not have been printed
-    monkeypatch.setattr("sandpiles.tilings.SEAM_WORK_CAP", 0)
+    # work 1,020 for each 2x2 planar board, 4,080 for the Mobius 2x2: the
+    # odd_odd row's board and the Mobius-weighted board are counted, the
+    # Mobius board of the even_odd row is refused, and no row, the
+    # odd_odd row included, may have been printed
+    monkeypatch.setattr("sandpiles.tilings.SEAM_WORK_CAP", 2_000)
     code, out, err = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "1")
     assert code == 3
     assert out == ""
@@ -333,6 +335,19 @@ def test_mobius_thin_boards_beyond_seam_work_cap_exit_3(capsys, monkeypatch, row
     monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
     code, out, err = run_cli(capsys, "count-tilings", "--board", "mobius",
                              "--rows", str(rows), "--cols", str(cols))
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
+def test_plain_board_beyond_the_work_cap_exits_3(capsys, monkeypatch):
+    # one pass, but a dense 20,000 x 20,000 Kasteleyn matrix
+    def unused(cells, unit):
+        raise AssertionError("a determinant pass was run")
+
+    monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
+    code, out, err = run_cli(capsys, "count-tilings", "--rows", "200",
+                             "--cols", "200")
     assert code == 3
     assert out == ""
     assert "cap" in err

@@ -20,14 +20,13 @@ from sandpiles import (
     is_recurrent,
     klein_action,
     reduced_laplacian,
-    split_by_involution,
     stabilize,
     symmetric_config_order,
     symmetric_identity,
     symmetrized_laplacian,
-    transpose_orbits,
     unfold,
 )
+from sandpiles import checks
 from sandpiles.engine import _burns, _recurrents, _topple
 from sandpiles.errors import SymmetryError
 from sandpiles.linalg import det_int
@@ -132,9 +131,10 @@ def test_dihedral_fold_matches_klein(n):
 def test_klein_count_is_the_square_of_the_dihedral_determinant(n):
     # det S_Klein = det(S_D4)^2 / 2^e on the n x n grid, e = n/2 for even
     # n and (n + 3)/2 for odd n.  det S_Klein = det S+ * det S- with
-    # det S+ = det S_D4 (split_by_involution), and for even n = 2k the
-    # paper gives det S- = a_k (test_odd_block_is_a_k).  For odd n, what
-    # stays observed, not proved, is det S- * 2^e = det S_D4.
+    # S+ = S_D4 and S- = S_D4 off both diagonals (`checks.det_count`),
+    # and for even n = 2k the paper gives det S- = a_k
+    # (test_odd_block_is_a_k).  For odd n, what stays observed, not
+    # proved, is det S- * 2^e = det S_D4.
     g = grid_sandpile(n, n)
     e = n // 2 if n % 2 == 0 else (n + 3) // 2
     klein = det_int(symmetrized_laplacian(g, klein_action(n, n)))
@@ -142,10 +142,14 @@ def test_klein_count_is_the_square_of_the_dihedral_determinant(n):
 
 
 def klein_split(n):
-    """The Klein fold S of the n x n grid and its transpose blocks."""
-    action = klein_action(n, n)
-    sym = symmetrized_laplacian(grid_sandpile(n, n), action)
-    return (sym, *split_by_involution(sym, transpose_orbits(action, n)))
+    """The Klein fold S of the n x n grid and its transpose blocks: the
+    D4 fold S+, and S-, the D4 fold on the orbits off both diagonals."""
+    g = grid_sandpile(n, n)
+    d4 = dihedral_action(n)
+    plus = symmetrized_laplacian(g, d4)
+    off = [o for o, r in enumerate(d4.representatives) if r // n != r % n]
+    minus = [[plus[a][b] for b in off] for a in off]
+    return symmetrized_laplacian(g, klein_action(n, n)), plus, minus
 
 
 @pytest.mark.parametrize("n", [*range(1, 25), 40])
@@ -156,12 +160,36 @@ def test_transpose_split_keeps_the_klein_determinant(n):
     assert det_int(plus) * det_int(minus) == det_int(sym)
 
 
+def klein_transpose_blocks(n):
+    """The oracle for `klein_split`'s blocks, built from the Klein fold S
+    by a change of basis.  The transpose permutes the Klein orbits, by
+    tau, and commutes with S, so in the basis of the vectors
+    e_o + e_tau(o) (o < tau(o)) and e_o (o = tau(o)), then
+    e_o - e_tau(o) (o < tau(o)), S is blockdiag(S+, S-): S+ has the
+    entries S[p][o] + S[p][tau(o)] (S[p][o] when o is fixed), S- the
+    entries S[p][o] - S[p][tau(o)], rows p and columns o in index order."""
+    klein = klein_action(n, n)
+    sym = symmetrized_laplacian(grid_sandpile(n, n), klein)
+    tau = [klein.orbit_of[r % n * n + r // n] for r in klein.representatives]
+    assert all(sym[tau[a]][tau[b]] == sym[a][b] for a in tau for b in tau)
+    even = [(o, t) for o, t in enumerate(tau) if o <= t]
+    odd = [(o, t) for o, t in even if o < t]
+    plus = [[sym[p][o] + sym[p][t] if o < t else sym[p][o] for o, t in even]
+            for p, _ in even]
+    minus = [[sym[p][o] - sym[p][t] for o, t in odd] for p, _ in odd]
+    return plus, minus
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_even_block_is_the_dihedral_fold(n):
     _, plus, _ = klein_split(n)
-    d4 = symmetrized_laplacian(grid_sandpile(n, n), dihedral_action(n))
-    assert det_int(plus) == det_int(d4)
-    assert plus == d4  # the same orbits, in the same order
+    assert plus == klein_transpose_blocks(n)[0]  # the same orbits, in the same order
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_odd_block_is_the_dihedral_fold_off_both_diagonals(n):
+    _, _, minus = klein_split(n)
+    assert minus == klein_transpose_blocks(n)[1]
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -175,36 +203,16 @@ def test_odd_block_is_a_k(k):
     assert det_int(minus) == a_seq_upto(k)[-1]
 
 
-def test_transpose_orbits_is_an_involution_on_klein_and_trivial_on_d4():
-    for n in range(1, 10):
-        tau = transpose_orbits(klein_action(n, n), n)
-        assert [tau[t] for t in tau] == list(range(len(tau)))
-        d4 = dihedral_action(n)
-        assert transpose_orbits(d4, n) == list(range(len(d4.orbits)))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_det_count_on_a_square_grid_builds_no_klein_action(n, monkeypatch):
+    expect = det_int(symmetrized_laplacian(grid_sandpile(n, n), klein_action(n, n)))
 
+    def unused(rows, cols):
+        raise AssertionError("a Klein action was built")
 
-def test_split_by_involution_blocks():
-    # tau swaps 0 and 1 and fixes 2; S+ acts on e_0 + e_1 and e_2, S- on e_0 - e_1
-    sym = [[5, 2, 1], [2, 5, 1], [3, 3, 7]]
-    plus, minus = split_by_involution(sym, [1, 0, 2])
-    assert (plus, minus) == ([[7, 1], [6, 7]], [[3]])
-    assert det_int(plus) * det_int(minus) == det_int(sym) == 129
-
-
-def test_split_by_involution_refuses_what_it_cannot_split():
-    sym, *_ = klein_split(4)  # 4 orbits; the transpose swaps orbits 1 and 2
-    tau = [0, 2, 1, 3]
-    assert split_by_involution(sym, tau) == ([[4, -2, 0], [-1, 3, -1], [0, -2, 2]],
-                                             [[3]])
-    asymmetric = [row[:] for row in sym]
-    asymmetric[0][1] -= 1
-    with pytest.raises(ValueError, match="commute"):
-        split_by_involution(asymmetric, tau)
-    for bad in ([1, 2, 3, 0], [0, 1, 2], [0, 2, 1, 4], [0, 2, 2, 3]):
-        with pytest.raises(ValueError, match="involution"):
-            split_by_involution(sym, bad)
-    with pytest.raises(ValueError, match="square"):
-        split_by_involution([row[:3] for row in sym], tau)
+    monkeypatch.setattr("sandpiles.checks.klein_action", unused)
+    monkeypatch.setattr("sandpiles.symmetry.klein_action", unused)
+    assert checks.det_count(n, n) == expect
 
 
 def maps_to_perms(m, n, maps):
