@@ -15,6 +15,11 @@ m x n orbit grid) elimination then costs O(N b^2) big-integer steps,
 plus O(N^2) zero tests, instead of O(N^3); the result is the same exact
 value on every input.
 
+`schur_block` stops the same elimination after a given number of steps
+and returns the eliminated block's determinant and the bordered minors
+below it: one elimination then serves every minor of m that contains
+the block (Sylvester's identity).
+
 Entries are taken through `operator.index`, so a float or a Fraction
 raises TypeError instead of being truncated to an integer.
 """
@@ -29,15 +34,20 @@ def _check_square(m):
     return n
 
 
-def _bareiss(a, rhs):
+def _bareiss(a, rhs, steps=None):
     """Fraction-free forward elimination of the square matrix a, in
     place, with row swaps; rhs (one entry per row) is carried along.
 
-    Returns the number of row swaps, or None if a is singular (then a is
-    left partly eliminated).  Otherwise a is upper triangular, each row
-    as it stood when it was the pivot row, and the determinant is
-    (-1)^swaps times a[n-1][n-1].  With no swap, a[k][k] is the leading
-    principal minor of order k + 1.
+    Only the first `steps` columns (all n by default) are eliminated,
+    with pivots sought among the first `steps` rows.  Returns the number
+    of row swaps, or None if that leading block is singular (then a is
+    left partly eliminated).  Otherwise the block's rows are upper
+    triangular, each as it stood when it was the pivot row, and the
+    block's determinant is (-1)^swaps times a[steps-1][steps-1].  With
+    no swap, a[k][k] is the leading principal minor of order k + 1.
+    Every row below the block is left current: a[i][j] (i, j >= steps)
+    is (-1)^swaps times the block's determinant bordered by row i and
+    column j of the input.
 
     p_0 = 1 and p_{k+1} is the pivot of step k.  A row whose entry in
     the pivot column is zero is skipped: its Bareiss update would only
@@ -51,13 +61,14 @@ def _bareiss(a, rhs):
     the columns up to the later end of the two rows.
     """
     n = len(a)
+    steps = n if steps is None else steps
     swaps = 0
     piv = [1]
     last_step = [0] * n
     end = [max((j + 1 for j, x in enumerate(row) if x), default=0) for row in a]
-    for k in range(n):
+    for k in range(steps):
         if not a[k][k]:
-            for i in range(k + 1, n):
+            for i in range(k + 1, steps):
                 if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     rhs[k], rhs[i] = rhs[i], rhs[k]
@@ -88,6 +99,13 @@ def _bareiss(a, rhs):
             rhs[i] = (rhs[i] * pivot - aik * bk) // down
             last_step[i] = k + 1
             end[i] = e
+    up = piv[steps]
+    for i in range(steps, n):
+        s, e = last_step[i], end[i]
+        if s != steps:
+            down = piv[s]
+            a[i][steps:e] = [x * up // down for x in a[i][steps:e]]
+            rhs[i] = rhs[i] * up // down
     return swaps
 
 
@@ -99,6 +117,29 @@ def det_int(m):
     a = [[index(x) for x in row] for row in m]
     swaps = _bareiss(a, [0] * n)
     return 0 if swaps is None else (-1) ** swaps * a[n - 1][n - 1]
+
+
+def schur_block(m, steps):
+    """(d, B) for the square integer matrix m split after `steps` rows
+    and columns: d is the determinant of the leading block, and B[i][j]
+    is that block's determinant bordered by row steps + i and column
+    steps + j of m, so B is d times the Schur complement of the block.
+
+    By Sylvester's identity every q x q minor of B is d^(q-1) times the
+    minor of m on the block's rows and columns plus the minor's (Bareiss
+    1968).  If the block is singular, the split moves to steps = 0 and
+    the result is (1, m); a singular block with steps = n gives (0, []).
+    """
+    n = _check_square(m)
+    if not 0 <= steps <= n:
+        raise ValueError("steps out of range")
+    a = [[index(x) for x in row] for row in m]
+    swaps = _bareiss(a, [0] * n, steps)
+    if swaps is None:
+        return (0, []) if steps == n else (1, [[index(x) for x in row] for row in m])
+    sign = (-1) ** swaps
+    d = sign * a[steps - 1][steps - 1] if steps else 1
+    return d, [[sign * x for x in row[steps:]] for row in a[steps:]]
 
 
 def leading_minors(m):

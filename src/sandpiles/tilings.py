@@ -5,8 +5,12 @@ a Kasteleyn determinant |det K| (Kasteleyn 1961; Temperley-Fisher 1961):
 K is the black x white biadjacency matrix, +w on horizontal edges and
 (-1)^col w on vertical ones, which is valid when every bounded face is a
 unit square.  Twisted (wrap-edge) boards sum that count over all seam
-subsets.  Every lattice board, twisted or not, is counted only when its
-estimated work is within SEAM_WORK_CAP.  Any other small graph falls
+subsets.  K is eliminated once per board, on the cells that no subset
+removes; each seam pass is then a minor of the small Schur block left on
+the wrap ends (Sylvester's identity, `linalg.schur_block`), and a board
+with no wraps is the one pass with an empty block.  Every lattice board,
+twisted or not, is counted only when its estimated work is within
+SEAM_WORK_CAP.  Any other small graph falls
 back to recursive enumeration, the oracle for the determinant in tests.
 
 The staircase graph P_n is the 2n x 2n grid folded by its dihedral
@@ -19,16 +23,20 @@ from math import prod
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian, p_graph
-from .linalg import det_int, leading_minors
+from .linalg import det_int, leading_minors, schur_block
 from .symmetry import dihedral_action, unfold
 
 ENUM_VERTEX_CAP = 28
-# A board costs 2^wraps determinants, one on a plain board.  Each costs
-# about cells x side^2 bignum updates (side the shorter side, K's band),
-# plus (cells/2)^2 to build the dense K and scan it for zeros, plus a
-# fixed SEAM_PASS_COST for the cell list; one unit is about 30 ns
-# (Python 3.11, one 2-core VM).  The Mobius 12x12 board is 1.1e8 (about
-# 2.5 s), 16x4 is 2.0e8 and 18x2 3.8e8; the plain 200x200 board is 2.0e9.
+# The estimate charges a board 2^wraps full determinants, one on a plain
+# board: each about cells x side^2 bignum updates (side the shorter side,
+# K's band), plus (cells/2)^2 to build the dense K and scan it for zeros,
+# plus a fixed SEAM_PASS_COST for the cell list; one unit is about 30 ns
+# (Python 3.11, one 2-core VM).  The Mobius 12x12 board is 1.1e8, 16x4 is
+# 2.0e8 and 18x2 3.8e8; the plain 200x200 board is 2.0e9.  A twisted
+# board now costs one elimination plus 2^wraps minors of at most
+# rows x rows, so the estimate is an upper bound there (Mobius 12x12
+# takes about 0.2 s, not 2.4 s); it is kept so that the refusals stay
+# where they are.
 SEAM_PASS_COST = 1000
 SEAM_WORK_CAP = 15 * 10**7
 
@@ -84,31 +92,60 @@ def _faces_are_unit_squares(cells, unit):
     return len(unit) - len(cells) + components == squares
 
 
-def _kasteleyn(cells, unit):
-    """Weighted perfect-matching count |det K| of the lattice graph on
-    cells (unit edges with an endpoint outside cells are ignored), whose
-    bounded faces must all be unit squares.
+def _kasteleyn(cells, unit, ends):
+    """Eliminate the Kasteleyn matrix K of the lattice graph on cells
+    (unit edges only; every bounded face must be a unit square) once.
 
-    Cells are numbered along the longer side (column-major when they
-    span more columns than rows), so K has a band of about the shorter
-    side and the elimination stays cheap on long thin boards."""
-    if len({c for _, c in cells}) > len({r for r, _ in cells}):
-        cells = sorted(cells, key=lambda v: (v[1], v[0]))
-    black = {v: i for i, v in enumerate(v for v in cells if sum(v) % 2 == 0)}
-    white = {v: i for i, v in enumerate(v for v in cells if sum(v) % 2)}
+    K's rows are the black cells and its columns the white ones, with the
+    cells not in `ends` first, numbered along the longer side (column-major
+    when they span more columns than rows) so that their block has a band
+    of about the shorter side, and the cells in `ends` last.  Returns
+    (d, block, black, white) from `schur_block` on that split: the count
+    of the board with some ends removed is a minor of block over a power
+    of d, and block's rows and columns are the cells `black` and `white`.  A board whose colours
+    do not balance gives d = 0 and nothing else.  With wraps it is a full
+    grid of odd size, whose wraps join cells of one colour, so no pass
+    balances it either."""
+    kept = [v for v in cells if v not in ends]
+    if len({c for _, c in kept}) > len({r for r, _ in kept}):
+        kept.sort(key=lambda v: (v[1], v[0]))
+    order = kept + [v for v in cells if v in ends]
+    black = [v for v in order if sum(v) % 2 == 0]
+    white = [v for v in order if sum(v) % 2]
     if len(black) != len(white):
-        return 0
+        return 0, [], [], []
+    row = {v: i for i, v in enumerate(black)}
+    col = {v: i for i, v in enumerate(white)}
     k = [[0] * len(white) for _ in black]
     for (u, v), w in unit.items():
-        if v in black:
+        if v in row:
             u, v = v, u
-        if u in black and v in white:
-            k[black[u]][white[v]] = -w if u[0] != v[0] and u[1] % 2 else w
-    return abs(det_int(k))
+        k[row[u]][col[v]] = -w if u[0] != v[0] and u[1] % 2 else w
+    # kept cells past the smaller colour count stay in block, in every pass
+    steps = min(sum(v not in ends for v in black),
+                sum(v not in ends for v in white))
+    d, block = schur_block(k, steps)
+    tail = len(black) - len(block)
+    return d, block, black[tail:], white[tail:]
+
+
+def _seam_pass(d, block, rows, cols):
+    """|det K| on the cells that one seam pass keeps: the minor of the
+    Schur block on its surviving rows and columns, over d^(q-1)."""
+    q = len(rows)
+    if q != len(cols):
+        return 0
+    if not q:
+        return abs(d)
+    minor = det_int([[block[i][j] for j in cols] for i in rows])
+    count, rem = divmod(abs(minor), abs(d) ** (q - 1))
+    if rem:
+        raise ArithmeticError("inexact division of a Schur minor")
+    return count
 
 
 # perfbench/test_perfbench.py patches this name to count seam passes.
-_grid_dp = _kasteleyn
+_grid_dp = _seam_pass
 
 
 def count_matchings(board):
@@ -126,13 +163,16 @@ def count_matchings(board):
                                f"work {work} exceeds {SEAM_WORK_CAP}")
         # Each pass removes cells of the first and last columns, which lie
         # on the outer face, so the remaining faces stay unit squares.
+        ends = {x for edge, _ in wraps for x in edge}
+        d, block, black, white = _kasteleyn(board.vertices, unit, ends)
         total = 0
         for subset in range(1 << len(wraps)):
             chosen = [wrap for i, wrap in enumerate(wraps) if subset >> i & 1]
             removed = {x for edge, _ in chosen for x in edge}
             weight = prod(w for _, w in chosen)
-            cells = [v for v in board.vertices if v not in removed]
-            total += weight * _grid_dp(cells, unit)
+            rows = [i for i, v in enumerate(black) if v not in removed]
+            cols = [j for j, v in enumerate(white) if v not in removed]
+            total += weight * _grid_dp(d, block, rows, cols)
         return total
     if len(board.vertices) <= ENUM_VERTEX_CAP:
         return sum(w for _, w in enumerate_matchings(board))

@@ -300,7 +300,7 @@ def test_product_beyond_sylvester_cap_exits_3(capsys, monkeypatch):
 
 
 def test_mobius_beyond_seam_cap_exits_3(capsys, monkeypatch):
-    def unused(cells, unit):
+    def unused(d, block, rows, cols):
         raise AssertionError("a seam pass was run")
 
     monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
@@ -314,7 +314,7 @@ def test_mobius_beyond_seam_cap_exits_3(capsys, monkeypatch):
 def test_mobius_beyond_seam_work_cap_exits_3(capsys, monkeypatch):
     # 16 wrap edges, within the old cap of 16, but 2^16 passes over 256
     # cells of band 16 took about 98 s
-    def unused(cells, unit):
+    def unused(d, block, rows, cols):
         raise AssertionError("a seam pass was run")
 
     monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
@@ -329,7 +329,7 @@ def test_mobius_beyond_seam_work_cap_exits_3(capsys, monkeypatch):
 def test_mobius_thin_boards_beyond_seam_work_cap_exit_3(capsys, monkeypatch, rows, cols):
     # few cells per pass, but 2^rows passes of fixed cost: 18x2 took
     # about 9 s and 16x4 about 6 s when only cells x side^2 was charged
-    def unused(cells, unit):
+    def unused(d, block, rows, cols):
         raise AssertionError("a seam pass was run")
 
     monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
@@ -342,7 +342,7 @@ def test_mobius_thin_boards_beyond_seam_work_cap_exit_3(capsys, monkeypatch, row
 
 def test_plain_board_beyond_the_work_cap_exits_3(capsys, monkeypatch):
     # one pass, but a dense 20,000 x 20,000 Kasteleyn matrix
-    def unused(cells, unit):
+    def unused(d, block, rows, cols):
         raise AssertionError("a determinant pass was run")
 
     monkeypatch.setattr("sandpiles.tilings._grid_dp", unused)
@@ -358,7 +358,7 @@ def test_mobius_boards_of_verify_and_the_benchmark_pass_the_seam_cap(
         capsys, monkeypatch, rows, cols):
     passes = []
     monkeypatch.setattr("sandpiles.tilings._grid_dp",
-                        lambda cells, unit: passes.append(len(cells)) or 1)
+                        lambda d, block, rows, cols: passes.append(len(rows)) or 1)
     code, _, _ = run_cli(capsys, "count-tilings", "--board", "mobius",
                          "--rows", str(rows), "--cols", str(cols))
     assert code == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -19,6 +20,7 @@ from sandpiles.linalg import (
     leading_minors,
     mat_identity,
     mat_mul,
+    schur_block,
     solve_int,
 )
 
@@ -160,6 +162,56 @@ def test_det_singular():
 def test_det_transpose_invariant():
     m = [[4, -1, 0], [-1, 3, -2], [0, -1, 2]]
     assert det_int(m) == det_int([list(col) for col in zip(*m)])
+
+
+# Half the entries zero, so leading blocks are often singular or need a
+# row swap.
+schur_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-9, 9)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    )
+)
+
+
+def check_sylvester(mat, steps):
+    """schur_block(mat, steps) against Sylvester's identity, minor by minor."""
+    n = len(mat)
+    d, block = schur_block(mat, steps)
+    split = n - len(block)
+    if split != steps:  # a singular leading block
+        assert det_int([row[:steps] for row in mat[:steps]]) == 0
+        assert (split, d, block) == (0, 1, mat)
+    assert d == det_int([row[:split] for row in mat[:split]])
+    for q in range(1, n - split + 1):
+        for rows in combinations(range(n - split), q):
+            for cols in combinations(range(n - split), q):
+                keep_r = [*range(split), *(split + i for i in rows)]
+                keep_c = [*range(split), *(split + j for j in cols)]
+                minor = det_int([[mat[i][j] for j in keep_c] for i in keep_r])
+                assert det_int([[block[i][j] for j in cols] for i in rows]) \
+                    == d ** (q - 1) * minor
+
+
+@given(schur_matrices)
+@settings(max_examples=100, deadline=None)
+def test_schur_block_minors_follow_sylvesters_identity(mat):
+    for steps in range(len(mat) + 1):
+        check_sylvester(mat, steps)
+
+
+def test_schur_block_swaps_inside_the_block_and_falls_back_when_singular():
+    swap = [[0, 2, 1], [3, 1, 0], [1, 4, 5]]  # zero leading pivot
+    # bordered by the last row and column, the block is the whole matrix
+    assert schur_block(swap, 2) == (-6, [[det_int(swap)]]) == (-6, [[-19]])
+    singular = [[1, 2, 0], [2, 4, 1], [0, 1, 3]]
+    assert schur_block(singular, 2) == (1, singular)
+    assert schur_block([[1, 2], [2, 4]], 2) == (0, [])
+    for mat, steps in ((swap, 2), (singular, 2), (singular, 3)):
+        check_sylvester(mat, steps)
+    with pytest.raises(ValueError):
+        schur_block(swap, 4)
 
 
 def fraction_solve(mat, rhs):

@@ -21,7 +21,7 @@ from sandpiles import (
 from sandpiles import checks, tilings
 from sandpiles.errors import SizeCapError
 from sandpiles.graphs import MatchGraph
-from sandpiles.linalg import det_int
+from sandpiles.linalg import det_int, schur_block
 from sandpiles.temperley import EmbeddedFamily
 
 
@@ -108,6 +108,61 @@ def test_kasteleyn_matches_enumeration(board):
     assert count_matchings(board) == sum(w for _, w in enumerate_matchings(board))
 
 
+@pytest.mark.parametrize("rows", range(1, 29))
+def test_mobius_matches_enumeration(rows):
+    for cols in range(1, 28 // rows + 1):
+        if cols == 1 and rows % 2:
+            continue  # the middle wrap edge would be a loop
+        board = board_graph("mobius", rows, cols)
+        assert count_matchings(board) == sum(w for _, w in enumerate_matchings(board))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_mobius_matches_lu_wu(m):
+    for n in range(1, 7):
+        assert count_matchings(board_graph("mobius", 2 * m, 2 * n)) == lu_wu_count(m, n)
+
+
+@st.composite
+def wrap_boards(draw):
+    """The full grid of at most 20 cells with unit weights 1-3, about one
+    unit edge in seven dropped, and a random subset of the twisted wrap
+    edges {(h, 1), (rows - h + 1, cols)} with weights 1-3."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 20 // rows))
+    cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    edges = {}
+    for r, c in cells:
+        for v in ((r, c + 1), (r + 1, c)):
+            w = draw(st.integers(0, 6))
+            if v[0] <= rows and v[1] <= cols and w:
+                edges[((r, c), v)] = 1 + w % 3
+    for h in range(1, rows + 1):
+        u, v = sorted([(h, 1), (rows - h + 1, cols)])
+        if u != v and (cols > 1 or u[0] == h) and draw(st.booleans()):
+            edges[(u, v)] = edges.get((u, v), 0) + draw(st.integers(1, 3))
+    return MatchGraph(cells, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrap_boards())
+def test_wrap_boards_match_enumeration(board):
+    assert count_matchings(board) == sum(w for _, w in enumerate_matchings(board))
+
+
+def test_mobius_board_is_eliminated_once(monkeypatch):
+    # 8x8: the 48 inner cells are eliminated once, and each of the 2^8
+    # passes takes a minor of the 8 x 8 Schur block of the 16 wrap ends
+    blocks, dims = [], []
+    monkeypatch.setattr(tilings, "schur_block",
+                        lambda k, steps: blocks.append(len(k)) or schur_block(k, steps))
+    monkeypatch.setattr(tilings, "det_int", lambda k: dims.append(len(k)) or det_int(k))
+    assert count_matchings(board_graph("mobius", 8, 8)) == lu_wu_count(4, 4)
+    assert blocks == [32]
+    assert len(dims) <= 2**8
+    assert max(dims) <= 8
+
+
 def test_disconnected_board_with_an_octagonal_face():
     # A ring around a missing centre has one face of length 8, where the
     # Kasteleyn signs fail; the separate domino makes E - V + 1 equal the
@@ -117,7 +172,8 @@ def test_disconnected_board_with_an_octagonal_face():
     edges = {(u, v): 1 for u in cells for v in cells
              if u < v and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1}
     board = MatchGraph(cells, edges)
-    assert tilings._kasteleyn(board.vertices, board.edges) == 0
+    d, block, _, _ = tilings._kasteleyn(board.vertices, board.edges, set())
+    assert (d, block) == (0, [])
     assert count_matchings(board) == 2
 
 
@@ -131,7 +187,8 @@ def test_temperley_overlays_count_by_determinant(kind, m, n):
 def test_wide_boards_number_cells_along_the_longer_side(monkeypatch):
     # row-major numbering would put vertical neighbours about cols/2 apart
     seen = []
-    monkeypatch.setattr(tilings, "det_int", lambda k: seen.append(k) or det_int(k))
+    monkeypatch.setattr(tilings, "schur_block",
+                        lambda k, steps: seen.append(k) or schur_block(k, steps))
     wide, tall = board_graph("plain", 4, 40), board_graph("plain", 40, 4)
     assert count_matchings(wide) == count_matchings(tall)
     k = seen[0]
