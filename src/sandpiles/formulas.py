@@ -10,11 +10,25 @@ determinant, which is the independent closed form that checks them.
 """
 
 from .errors import SizeCapError
-from .linalg import det_int, mat_identity, mat_mul, mat_sub
+from .linalg import det_int, mat_identity
 
 # Largest Sylvester matrix a closed form may eliminate: its cost grows as
 # the cube of the dimension (m + n, the two degrees) in big-integer steps.
 SYLVESTER_DIM_CAP = 128
+
+
+def _times(a, s, minus):
+    """a s - minus, with the sparse a given as each row's nonzero
+    (column, entry) pairs: a row of the product costs one pass over a
+    row of s per nonzero, a big x small step per entry."""
+    out = []
+    for terms, row in zip(a, minus):
+        (j, x), *rest = terms or [(0, 0)]  # a zero row gives -minus
+        acc = [x * y - z for y, z in zip(s[j], row)]
+        for j, x in rest:
+            acc = [u + x * y for u, y in zip(acc, s[j])]
+        out.append(acc)
+    return out
 
 
 def block_tridiag_det(a, b, c, m):
@@ -22,8 +36,10 @@ def block_tridiag_det(a, b, c, m):
     (A, ..., A, B), off-diagonal -I, and -C in position (m, m-1).
 
     Uses the integer matrix recurrence S_0 = I, S_1 = A,
-    S_j = A S_{j-1} - S_{j-2}, and returns
-    (-1)^n det(-B S_{m-1} + C S_{m-2}).  For m = 1 this is det(B).
+    S_j = A S_{j-1} - S_{j-2}, and returns det(B S_{m-1} - C S_{m-2}),
+    one n x n determinant.  For m = 1 this is det(B).  A, B and C act
+    through their nonzeros only, so on the tridiagonal grid blocks each
+    level costs about 3 n^2 big x small steps.
     """
     n = len(a)
     if any(len(mat) != n or any(len(r) != n for r in mat) for mat in (a, b, c)):
@@ -32,11 +48,12 @@ def block_tridiag_det(a, b, c, m):
         raise ValueError("m must be positive")
     if m == 1:
         return det_int(b)
-    s_prev, s_cur = mat_identity(n), [list(r) for r in a]  # S_0, S_1
+    s_prev, s_cur = mat_identity(n), a  # S_0, S_1
+    a, b, c = ([[(j, x) for j, x in enumerate(row) if x] for row in mat]
+               for mat in (a, b, c))
     for _ in range(m - 2):
-        s_prev, s_cur = s_cur, mat_sub(mat_mul(a, s_cur), s_prev)
-    t = mat_sub(mat_mul(c, s_prev), mat_mul(b, s_cur))
-    return (-1) ** n * det_int(t)
+        s_prev, s_cur = s_cur, _times(a, s_cur, s_prev)
+    return det_int(_times(b, s_cur, _times(c, s_prev, [[0] * n] * n)))
 
 
 # --- the closed forms as resultants ---

@@ -189,17 +189,5 @@ def solve_int(m, b):
     return det, y
 
 
-# --- small dense matrix helpers used by the block/Chebyshev machinery ---
-
-
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

@@ -12,9 +12,8 @@ tests of symmetric configurations all run on it, with about N/4
 unknowns for the Klein action on an N-vertex grid and about N/8 for the
 dihedral action on a square one.  `grid_action` picks the larger group
 for a grid.  Counts are of Klein-symmetric recurrents, the determinant
-of the Klein fold S; on a square grid it is det S_D4 times the
-determinant of S_D4's rows and columns off both diagonals
-(`checks.det_count`).
+of the Klein fold S on every grid; `checks.det_count` reads S's blocks
+off the folded system and runs the block recurrence on them.
 Each group is built from its generators: the column and row reflections
 for Klein, and the column reflection and a quarter turn for D4.
 """
@@ -111,8 +110,8 @@ def grid_action(rows, cols):
     """The largest grid symmetry group the package folds by: D4 on a
     square grid, the Klein four-group otherwise.  Both fix every
     constant configuration and the identity, and every element order is
-    the same on either fold.  Counts stay Klein counts; on a square
-    grid they are taken from this fold too (`checks.det_count`)."""
+    the same on either fold.  Counts stay Klein counts, taken from the
+    Klein fold on every grid (`checks.det_count`)."""
     return dihedral_action(rows) if rows == cols else klein_action(rows, cols)
 
 

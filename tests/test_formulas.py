@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandpiles import checks, formulas
 from sandpiles.blocks import PARITIES, grid_parity, parity_blocks
@@ -61,6 +63,35 @@ def test_block_det_matches_assembled_matrix(parity, m, n):
                   "odd_odd": (2 * m - 1, 2 * n - 1)}[parity]
     assert (block_tridiag_det(*parity_blocks(parity, n), m)
             == det_int(checks.sym_laplacian(rows, cols)))
+
+
+def assembled(a, b, c, m):
+    """The block-tridiagonal matrix itself: diagonal (A, ..., A, B),
+    couplings -I, and -C at block (m, m-1)."""
+    n = len(a)
+    big = [[0] * (m * n) for _ in range(m * n)]
+    for k in range(m):
+        for i in range(n):
+            for j in range(n):
+                big[k * n + i][k * n + j] = (b if k == m - 1 else a)[i][j]
+                if k and i == j:
+                    big[k * n + i][(k - 1) * n + j] = -1
+                    big[(k - 1) * n + i][k * n + j] = -1
+    for i in range(n if m > 1 else 0):
+        for j in range(n):
+            big[(m - 1) * n + i][(m - 2) * n + j] = -c[i][j]
+    return big
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.data())
+def test_block_det_matches_assembled_blocks(n, m, data):
+    # dense, zero-row and non-commuting blocks take the sparse products
+    # through every case, not only the tridiagonal grid blocks
+    block = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                     min_size=n, max_size=n)
+    a, b, c = (data.draw(block) for _ in range(3))
+    assert block_tridiag_det(a, b, c, m) == det_int(assembled(a, b, c, m))
 
 
 def test_block_det_rejects_bad_shapes():

@@ -18,8 +18,6 @@ from sandpiles.formulas import block_tridiag_det
 from sandpiles.linalg import (
     det_int,
     leading_minors,
-    mat_identity,
-    mat_mul,
     schur_block,
     solve_int,
 )
@@ -281,8 +279,3 @@ def test_order_matches_denominator_lcm(mat, data):
     expected = lcm(*(x.denominator for x in fraction_solve(mat, rhs)))
     assert abs(det) // gcd(det, *y) == expected
 
-
-def test_mat_mul_identity():
-    m = [[1, 2], [3, 4]]
-    assert mat_mul(m, mat_identity(2)) == m
-    assert mat_mul(mat_identity(2), m) == m

@@ -26,9 +26,11 @@ from sandpiles import (
     symmetrized_laplacian,
     unfold,
 )
-from sandpiles import checks
+from sandpiles import checks, formulas
+from sandpiles.blocks import grid_parity
 from sandpiles.engine import _burns, _recurrents, _topple
 from sandpiles.errors import SymmetryError
+from sandpiles.formulas import closed_form_count
 from sandpiles.linalg import det_int
 from sandpiles.symmetry import _folded_system
 
@@ -203,16 +205,69 @@ def test_odd_block_is_a_k(k):
     assert det_int(minus) == a_seq_upto(k)[-1]
 
 
+def record_det_int_sizes(monkeypatch):
+    """Wrap `det_int` where `det_count` reaches it; the list fills with
+    the order of each matrix eliminated."""
+    sizes = []
+
+    def recorded(m):
+        sizes.append(len(m))
+        return det_int(m)
+
+    monkeypatch.setattr(formulas, "det_int", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_det_count_is_the_bareiss_determinant_of_the_fold(rows):
+    for cols in range(1, 17):
+        assert checks.det_count(rows, cols) == det_int(checks.sym_laplacian(rows, cols))
+
+
+@pytest.mark.parametrize("rows,cols", [(31, 33), (33, 31), (40, 40), (64, 63)])
+def test_det_count_matches_the_product_form(rows, cols):
+    parity, m, n, _ = grid_parity(rows, cols)
+    assert checks.det_count(rows, cols) == closed_form_count(parity, m, n, "product")
+
+
 @pytest.mark.parametrize("n", range(1, 13))
-def test_det_count_on_a_square_grid_builds_no_klein_action(n, monkeypatch):
+def test_det_count_on_a_square_grid_eliminates_half_a_side(n, monkeypatch):
     expect = det_int(symmetrized_laplacian(grid_sandpile(n, n), klein_action(n, n)))
-
-    def unused(rows, cols):
-        raise AssertionError("a Klein action was built")
-
-    monkeypatch.setattr("sandpiles.checks.klein_action", unused)
-    monkeypatch.setattr("sandpiles.symmetry.klein_action", unused)
+    sizes = record_det_int_sizes(monkeypatch)
     assert checks.det_count(n, n) == expect
+    assert sizes and max(sizes) <= (n + 1) // 2
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 400), (31, 33)])
+def test_det_count_lays_the_blocks_along_the_shorter_side(rows, cols, monkeypatch):
+    sizes = record_det_int_sizes(monkeypatch)
+    wide, tall = checks.det_count(rows, cols), checks.det_count(cols, rows)
+    assert wide == tall
+    assert sizes == [(min(rows, cols) + 1) // 2] * 2
+
+
+def test_fold_blocks_refuses_other_shapes():
+    # the 6 x 6 fold: three block rows of width 3, orbit o = 3 i + j
+    def system():
+        return _folded_system(grid_sandpile(6, 6), klein_action(6, 6))
+
+    assert checks._fold_blocks(system(), 3)[3] == 3
+    below = system()
+    below[1][0][6] = 1  # orbit 0 feeds orbit 6, two block rows down
+    above = system()
+    above[1][6][0] = 1  # and orbit 6 feeds orbit 0, two block rows up
+    upper = system()
+    upper[1][3][0] = 2  # orbit 3 feeds orbit 0 twice: a coupling -2 above
+    lower = system()
+    lower[1][0][3] = 2  # and orbit 0 feeds orbit 3 twice, below
+    diagonal = system()
+    diagonal[0][4] += 1  # the middle diagonal block is not A
+    for bad in (below, above, upper, lower, diagonal):
+        with pytest.raises(ValueError):
+            checks._fold_blocks(bad, 3)
+    path = _folded_system(grid_sandpile(6, 1), klein_action(6, 1))
+    with pytest.raises(ValueError):
+        checks._fold_blocks(path, 2)  # 3 orbits are not whole rows of 2
 
 
 def maps_to_perms(m, n, maps):
