@@ -12,7 +12,7 @@ from math import gcd
 
 from .blocks import grid_parity, parity_blocks
 from .engine import config_order
-from .formulas import block_tridiag_det, closed_form_count, lu_wu_count
+from .formulas import block_tridiag_det, closed_form_count
 from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
 from .symmetry import (
     _folded_system,
@@ -23,7 +23,7 @@ from .symmetry import (
     symmetric_config_order,
     symmetrized_laplacian,
 )
-from .tilings import a_seq, count_matchings, diagonal_config, distance_config
+from .tilings import a_seq_upto, count_matchings, diagonal_config, distance_config
 
 
 def sym_laplacian(rows, cols):
@@ -109,14 +109,15 @@ def count_methods(rows, cols):
 
 
 def _grid_row(rows, cols):
-    parity, m, n, methods = count_methods(rows, cols)
-    del methods["enumerate"]  # exponential; the other methods check each other
-    values = {"det": methods.pop("det")(),
-              "block": block_tridiag_det(*parity_blocks(parity, n), m)}
-    values.update((name, fn()) for name, fn in methods.items())
+    parity, m, n, _ = grid_parity(rows, cols)
+    closed = closed_form_count(parity, m, n)  # the product and Chebyshev forms
+    values = {"det": det_count(rows, cols),
+              "block": block_tridiag_det(*parity_blocks(parity, n), m),
+              "product": closed, "chebyshev": closed,
+              "tilings": count_matchings(tiling_board(parity, m, n))}
     if parity == "even_odd":
         values["mobius"] = count_matchings(board_graph("mobius", 2 * m, 2 * n))
-        values["lu_wu"] = lu_wu_count(m, n)
+        values["lu_wu"] = closed  # Lu-Wu's product is the even_odd closed form
     return {"kind": parity, "m": m, "n": n, "rows": rows, "cols": cols,
             "values": values}
 
@@ -132,11 +133,8 @@ def _phi_check(n):
         for row, (i, j) in zip(reduced_laplacian(pg), pg.labels)]
 
 
-def _staircase_row(n):
-    an = a_seq(n)
-    values = {"a_n": an, "odd": an % 2 == 1}
-    tilings = count_matchings(board_graph("plain", 2 * n, 2 * n))
-    values["tilings_2n"] = tilings
+def _staircase_row(n, an, tilings):
+    values = {"a_n": an, "odd": an % 2 == 1, "tilings_2n": tilings}
     g = gcd(tilings, an**2)
     values["tilings_over_a_sq"] = (
         tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
@@ -161,11 +159,11 @@ def verify_rows(max_m, max_n):
     class for each m <= max_m, n <= max_n, then one staircase row for
     each n <= max_n.
 
-    The grid rows are computed last to first, then the staircase rows.
-    The grid rows' capped work (the tiling work and the closed forms'
-    Sylvester dimension) grows with m and n, so a size cap on it trips
-    on the largest grid, before any other work.  A staircase row's plain
-    2n x 2n board passes the tiling cap up to n = 52."""
+    The grid rows are computed last to first, then the staircase 2n x 2n
+    boards from n = max_n down, then the rest of the staircase work,
+    with every a_n from one elimination (`a_seq_upto`).  The capped work
+    (tilings, the Sylvester dimension) grows with m and n, so a cap
+    trips on the largest grid or board, before any uncapped work."""
     shapes = []
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
@@ -173,7 +171,10 @@ def verify_rows(max_m, max_n):
                        (2 * m, 2 * n - 1),  # even_odd
                        (2 * m - 1, 2 * n - 1)]  # odd_odd
     rows = [_grid_row(*shape) for shape in reversed(shapes)][::-1]
-    return rows + [_staircase_row(n) for n in range(1, max_n + 1)]
+    tilings = [count_matchings(board_graph("plain", 2 * n, 2 * n))
+               for n in range(max_n, 0, -1)][::-1]
+    return rows + [_staircase_row(n, an, t) for n, an, t in
+                   zip(range(1, max_n + 1), a_seq_upto(max_n), tilings)]
 
 
 def row_agrees(row):

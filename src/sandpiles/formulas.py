@@ -116,7 +116,8 @@ def closed_form_count(parity, m, n, form="product"):
 
     The two forms are one resultant, Res(P_left,m, C_n or V_n): C_n and
     V_n are prod_k (y + 4 right_k^2), so the Chebyshev factor is the
-    inner product over k.
+    inner product over k.  `form` is validated but selects nothing; it
+    is kept because callers pass it.
     """
     if parity not in ("even_even", "even_odd", "odd_odd"):
         raise ValueError(f"unknown parity class {parity!r}")

@@ -200,9 +200,10 @@ def test_verify_staircase_rows_reach_max_n(capsys):
 
 def test_verify_prints_an_exact_ratio_when_the_power_check_fails(
         capsys, monkeypatch):
-    from sandpiles.tilings import a_seq
+    from sandpiles.tilings import a_seq_upto
 
-    monkeypatch.setattr("sandpiles.checks.a_seq", lambda n: a_seq(n) + 2)
+    monkeypatch.setattr("sandpiles.checks.a_seq_upto",
+                        lambda n: [ak + 2 for ak in a_seq_upto(n)])
     code, out, _ = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "1")
     assert code == 1
     rows = [json.loads(line, parse_float=pytest.fail)
@@ -242,6 +243,48 @@ def test_verify_refuses_on_the_largest_mobius_board_first(capsys, monkeypatch):
     # staircase board
     assert {max(board.vertices) for board in counted} == {(6, 2)}
     assert counted[-1].edges == board_graph("mobius", 6, 2).edges
+
+
+def test_verify_computes_each_closed_form_and_a_n_once(capsys, monkeypatch):
+    from sandpiles import checks
+
+    calls = {"closed_form_count": [], "a_seq_upto": []}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(checks, name)):
+            calls[name].append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(checks, name, counting)
+    code, _, _ = run_cli(capsys, "verify", "--max-m", "2", "--max-n", "2")
+    assert code == 0
+    # one resultant per grid row (2 x 2 x 3 rows) and one elimination
+    # for every staircase a_n
+    assert len(calls["closed_form_count"]) == 12
+    assert calls["a_seq_upto"] == [(2,)]
+
+
+def test_verify_counts_the_staircase_boards_before_uncapped_work(
+        capsys, monkeypatch):
+    # the 2 x 2n grid-row boards pass (work at most 6,240 for the Mobius
+    # 2 x 20), the plain 20 x 20 staircase board (work 201,000) does not
+    monkeypatch.setattr("sandpiles.tilings.SEAM_WORK_CAP", 10**4)
+    counted = []
+
+    def recording(board):
+        counted.append(board)
+        return count_matchings(board)
+
+    def unused(n):
+        raise AssertionError("a_seq_upto ran before a refusal")
+
+    monkeypatch.setattr("sandpiles.checks.count_matchings", recording)
+    monkeypatch.setattr("sandpiles.checks.a_seq_upto", unused)
+    code, out, err = run_cli(capsys, "verify", "--max-m", "1", "--max-n", "10")
+    assert (code, out) == (3, "")
+    assert "cap" in err
+    assert len(counted) == 41
+    assert {max(board.vertices)[0] for board in counted[:40]} == {2}
+    assert max(counted[40].vertices) == (20, 20)
 
 
 def test_a_seq(capsys):

@@ -27,7 +27,7 @@ from sandpiles import (
     unfold,
 )
 from sandpiles import checks, formulas
-from sandpiles.blocks import grid_parity
+from sandpiles.blocks import grid_parity, parity_blocks
 from sandpiles.engine import _burns, _recurrents, _topple
 from sandpiles.errors import SymmetryError
 from sandpiles.formulas import closed_form_count
@@ -268,6 +268,22 @@ def test_fold_blocks_refuses_other_shapes():
     path = _folded_system(grid_sandpile(6, 1), klein_action(6, 1))
     with pytest.raises(ValueError):
         checks._fold_blocks(path, 2)  # 3 orbits are not whole rows of 2
+
+
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_fold_blocks_are_the_papers_parity_blocks(rows):
+    """The Klein fold of every grid, in `grid_parity`'s orientation, has
+    the paper's blocks (`parity_blocks`); at m = 1 the recurrence reads
+    only B, and A and C are not blocks of the fold."""
+    for cols in range(1, 17):
+        parity, m, n, transposed = grid_parity(rows, cols)
+        r, c = (cols, rows) if transposed else (rows, cols)
+        system = _folded_system(grid_sandpile(r, c), klein_action(r, c))
+        a, b, c_block, fold_m = checks._fold_blocks(system, (c + 1) // 2)
+        want_a, want_b, want_c = parity_blocks(parity, n)
+        assert (fold_m, b) == (m, want_b)
+        if m >= 2:
+            assert (a, c_block) == (want_a, want_c)
 
 
 def maps_to_perms(m, n, maps):
