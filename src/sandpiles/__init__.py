@@ -33,6 +33,7 @@ from .symmetry import (
     klein_action,
     dihedral_action,
     grid_action,
+    grid_fold,
     d_family,
     symmetrized_laplacian,
     symmetric_config_order,

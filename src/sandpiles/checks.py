@@ -11,17 +11,16 @@ staircase checks.  Every value is an exact integer or a boolean.
 from math import gcd
 
 from .blocks import grid_parity, parity_blocks
-from .engine import config_order
+from .engine import _recurrents, config_order
 from .formulas import block_tridiag_det, closed_form_count
 from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
 from .symmetry import (
-    _folded_system,
-    dihedral_action,
-    enumerate_symmetric_recurrents,
-    grid_action,
+    grid_config_order,
+    grid_fold,
     klein_action,
-    symmetric_config_order,
+    sink_weights,
     symmetrized_laplacian,
+    system_matrix,
 )
 from .tilings import a_seq_upto, count_matchings, diagonal_config, distance_config
 
@@ -76,7 +75,7 @@ def det_count(rows, cols):
     whole fold (`sym_laplacian`) stays the tests' oracle."""
     if cols > rows:
         rows, cols = cols, rows
-    system = _folded_system(grid_sandpile(rows, cols), klein_action(rows, cols))
+    system, _ = grid_fold(rows, cols, "klein")
     return block_tridiag_det(*_fold_blocks(system, (cols + 1) // 2))
 
 
@@ -95,8 +94,10 @@ def count_methods(rows, cols):
     parity, m, n, _ = grid_parity(rows, cols)
 
     def enumerate_count():
-        g = grid_sandpile(rows, cols)
-        return len(enumerate_symmetric_recurrents(g, klein_action(rows, cols)))
+        # the up-set search of `enumerate_symmetric_recurrents`, counted
+        # on the Klein fold without unfolding its results
+        (thresholds, out), _ = grid_fold(rows, cols, "klein")
+        return len(_recurrents(thresholds, out, sink_weights(thresholds, out)))
 
     methods = {
         "det": lambda: det_count(rows, cols),
@@ -126,7 +127,7 @@ def _phi_check(n):
     """The staircase is the D4 fold of the 2n x 2n grid: the symmetrized
     Laplacian, rows and columns reversed, is L(P_n) with the rows of the
     diagonal vertices (i, i) doubled."""
-    sym = symmetrized_laplacian(grid_sandpile(2 * n, 2 * n), dihedral_action(2 * n))
+    sym = system_matrix(*grid_fold(2 * n, 2 * n, "d4")[0])
     pg = p_graph(n)
     return [row[::-1] for row in sym[::-1]] == [
         [x * (1 + (i == j)) for x in row]
@@ -139,9 +140,7 @@ def _staircase_row(n, an, tilings):
     values["tilings_over_a_sq"] = (
         tilings // g if g == an**2 else f"{tilings // g}/{an**2 // g}")
     values["power_of_two_check"] = tilings == 2**n * an**2
-    order_sq = symmetric_config_order(
-        grid_sandpile(2 * n, 2 * n), grid_action(2 * n, 2 * n),
-        (2,) * (4 * n * n))
+    order_sq = grid_config_order(2 * n, 2 * n, 2)
     values["order_two_grid"] = order_sq
     values["divides_a_n"] = an % order_sq == 0
     pg = p_graph(n)

@@ -9,7 +9,7 @@ same kernel, burning test and identity formula on it.
 
 import os
 from collections import deque
-from math import gcd, prod
+from math import gcd
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian
@@ -88,11 +88,14 @@ def _recurrents(thresholds, out, beta):
     test, and k coordinates and R results take at most k*R + 1 tests:
     each success is a distinct search node, whose scan fails at most once.
     `SANDPILE_ENUM_CAP` bounds the box, prod(thresholds), checked before
-    any test.
+    any test; the product stops growing once it passes the cap.
     """
-    total = prod(thresholds)
-    if total > _enum_cap():
-        raise SizeCapError(f"{total} stable configurations exceeds cap {_enum_cap()}")
+    cap, total = _enum_cap(), 1
+    for t in thresholds:
+        total *= t
+        if total > cap:
+            raise SizeCapError(f"the stable box on {len(thresholds)} coordinates "
+                               f"exceeds cap {cap}")
     top = [t - 1 for t in thresholds]
     c = list(top)
     if not _burns(thresholds, out, c, beta):

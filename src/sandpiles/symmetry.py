@@ -7,15 +7,20 @@ firing takes sand from no other vertex.  Its threshold is the
 representative's out-degree, and the representative w of each orbit
 gains the total weight of the edges from Gv's members into w (orbit
 mates of w included).  The symmetrized Laplacian is this system as a
-matrix; determinants, element orders, the identity and the burning
-tests of symmetric configurations all run on it, with about N/4
-unknowns for the Klein action on an N-vertex grid and about N/8 for the
-dihedral action on a square one.  `grid_action` picks the larger group
-for a grid.  Counts are of Klein-symmetric recurrents, the determinant
-of the Klein fold S on every grid; `checks.det_count` reads S's blocks
-off the folded system and runs the block recurrence on them.
-Each group is built from its generators: the column and row reflections
-for Klein, and the column reflection and a quarter turn for D4.
+matrix (`system_matrix`); determinants, element orders, the identity
+and the burning tests of symmetric configurations all run on it, with
+about N/4 unknowns for the Klein action on an N-vertex grid and about
+N/8 for the dihedral action on a square one.
+
+Any graph folds through a `GroupAction`, built from its generators: the
+column and row reflections for Klein, and the column reflection and a
+quarter turn for D4.  The grid commands skip that path: `grid_fold`
+builds the Klein or D4 fold of a grid straight from the quarter grid's
+cells, with no unfolded graph and no group, and `grid_config_order` and
+`grid_identity` run on the larger fold.  Counts are of Klein-symmetric
+recurrents, the determinant of the Klein fold S on every grid;
+`checks.det_count` reads S's blocks off the folded system and runs the
+block recurrence on them.
 """
 
 from itertools import chain
@@ -144,13 +149,90 @@ def symmetrized_laplacian(g, action):
     stored: row Gw has out_degree[w] in w's own column, less the weight
     every orbit gives w when it fires.
     """
-    thresholds, out = _folded_system(g, action)
+    return system_matrix(*_folded_system(g, action))
+
+
+def system_matrix(thresholds, out):
+    """The matrix of a folded system: thresholds on the diagonal, and
+    -out[v][w] in row w, column v."""
     sym = [[0] * len(thresholds) for _ in thresholds]
     for col, gains in enumerate(out):
         sym[col][col] += thresholds[col]
         for row, wt in gains.items():
             sym[row][col] -= wt
     return sym
+
+
+def grid_fold(rows, cols, group):
+    """The folded system (thresholds, out) of the rows x cols grid under
+    `group`, "klein" or "d4" (square grids only), and orbit_of, the
+    orbit index of every cell in row-major order; equal to
+    `_folded_system` and `orbit_of` of `klein_action` or
+    `dihedral_action` on `grid_sandpile`, built from the lattice alone.
+
+    The representatives are the quarter grid's cells (i, j), 0-based,
+    with i < ceil(rows/2), j < ceil(cols/2), and also i <= j for D4,
+    numbered row by row as `GroupAction` numbers its orbits.  Every
+    threshold is 4, and each representative gains one grain from the
+    orbit of each of its grid neighbours: O(orbits) work.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError("grid dimensions must be positive")
+    if group not in ("klein", "d4"):
+        raise ValueError(f"unknown grid group {group!r}")
+    if group == "d4" and rows != cols:
+        raise ValueError("D4 folds square grids only")
+    h, w = (rows + 1) // 2, (cols + 1) // 2
+    fold_row = [min(i, rows - 1 - i) for i in range(rows)]
+    fold_col = [min(j, cols - 1 - j) for j in range(cols)]
+
+    def orbit(i, j):
+        a, b = fold_row[i], fold_col[j]
+        if group == "klein":
+            return a * w + b
+        a, b = min(a, b), max(a, b)
+        # representative row r holds the w - r cells (r, r..w-1)
+        return a * w - a * (a - 1) // 2 + b - a
+
+    reps = [(i, j) for i in range(h) for j in range(i if group == "d4" else 0, w)]
+    out = [{} for _ in reps]
+    for k, (i, j) in enumerate(reps):
+        for u in ((i - 1, j), (i, j - 1), (i, j + 1), (i + 1, j)):
+            if 0 <= u[0] < rows and 0 <= u[1] < cols:
+                gains = out[orbit(*u)]
+                gains[k] = gains.get(k, 0) + 1
+    orbit_of = [orbit(i, j) for i in range(rows) for j in range(cols)]
+    return ([4] * len(reps), out), orbit_of
+
+
+def sink_weights(thresholds, out):
+    """Each threshold less what every orbit gives its representative: on
+    the fold of an undirected graph, the folded burning configuration."""
+    beta = list(thresholds)
+    for gains in out:
+        for w, wt in gains.items():
+            beta[w] -= wt
+    return beta
+
+
+def _grid_system(rows, cols):
+    """The grid fold by `grid_action`'s group: D4 if square, else Klein."""
+    return grid_fold(rows, cols, "d4" if rows == cols else "klein")
+
+
+def grid_config_order(rows, cols, value):
+    """The order of the constant configuration `value` on the rows x cols
+    grid, as `symmetric_config_order` on `grid_action`'s fold."""
+    (thresholds, out), _ = _grid_system(rows, cols)
+    return _order(system_matrix(thresholds, out), (value,) * len(thresholds))
+
+
+def grid_identity(rows, cols):
+    """The identity of the rows x cols grid, as `symmetric_identity` on
+    `grid_action`'s fold."""
+    system, orbit_of = _grid_system(rows, cols)
+    e = _identity(*system)
+    return tuple(e[k] for k in orbit_of)
 
 
 def d_family(kind, m, n):

@@ -1,9 +1,19 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from sandpiles import board_graph, count_matchings, grid_sandpile, identity_config
+from sandpiles import (
+    GroupAction,
+    board_graph,
+    count_matchings,
+    grid_action,
+    grid_sandpile,
+    identity_config,
+    symmetric_config_order,
+    symmetric_identity,
+)
 from sandpiles.cli import main
 
 
@@ -316,6 +326,58 @@ def test_size_cap_exit_code(capsys, monkeypatch):
                            "--cols", "6", "--method", "enumerate")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (8, 8), (9, 9), (10, 7), (7, 12)])
+def test_order_and_identity_are_the_generic_folds(capsys, tmp_path, rows, cols):
+    g, action = grid_sandpile(rows, cols), grid_action(rows, cols)
+    for config, fill in (("all-ones", 1), ("all-twos", 2)):
+        code, out, _ = run_cli(capsys, "order", "--rows", str(rows), "--cols", str(cols),
+                               "--config", config)
+        assert code == 0
+        assert json.loads(out)["order"] == symmetric_config_order(
+            g, action, (fill,) * g.vertex_count)
+    path = tmp_path / "id.json"
+    code, _, _ = run_cli(capsys, "identity", "--rows", str(rows), "--cols", str(cols),
+                         "--out", str(path), "--format", "json")
+    assert code == 0
+    e = symmetric_identity(g, action)
+    assert json.loads(path.read_text()) == [list(e[r * cols:(r + 1) * cols])
+                                            for r in range(rows)]
+
+
+def test_grid_commands_build_no_unfolded_grid_or_group(capsys, tmp_path, monkeypatch):
+    def unused(*args):
+        raise AssertionError("an unfolded grid or a group action was built")
+
+    monkeypatch.setattr(GroupAction, "__init__", unused)
+    monkeypatch.setattr("sandpiles.checks.grid_sandpile", unused)
+    monkeypatch.setattr("sandpiles.symmetry.grid_sandpile", unused)
+    for argv in (["order", "--rows", "9", "--cols", "9"],
+                 ["order", "--rows", "8", "--cols", "5", "--config", "all-ones"],
+                 ["identity", "--rows", "7", "--cols", "7", "--out", str(tmp_path / "a")],
+                 ["identity", "--rows", "6", "--cols", "9", "--out", str(tmp_path / "b")],
+                 ["count-symmetric", "--rows", "4", "--cols", "6", "--method", "all"],
+                 ["verify", "--max-m", "2", "--max-n", "2"]):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_enumerate_beyond_the_cap_on_a_large_grid_exits_3(capsys):
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "170",
+                             "--cols", "170", "--method", "enumerate")
+    assert (code, out) == (3, "")
+    assert err == "size cap exceeded: the stable box on 7225 coordinates exceeds cap 10000000\n"
+
+
+def test_counts_past_the_digit_limit_are_printed(capsys, monkeypatch):
+    monkeypatch.setattr("sandpiles.checks.det_count", lambda rows, cols: 10**4400)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "4", "--cols", "4",
+                             "--method", "det")
+    assert (code, err) == (0, "")
+    assert out == ('{"rows": 4, "cols": 4, "method": "det", "value": 1'
+                   + "0" * 4400 + "}\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_product_16x16_is_exact(capsys, monkeypatch):

@@ -248,6 +248,19 @@ def test_enumeration_cap(monkeypatch):
         enumerate_recurrents(grid_sandpile(2, 2))
 
 
+def test_enumeration_cap_on_a_huge_box_is_printable(monkeypatch):
+    """4^8000 has 4817 digits, past the int -> str limit; the refusal
+    names the coordinates instead of the product."""
+    def unused(*args):
+        raise AssertionError("a burning test ran")
+
+    monkeypatch.setattr("sandpiles.engine._burns", unused)
+    k = 8000
+    with pytest.raises(SizeCapError) as exc:
+        _recurrents([4] * k, [{} for _ in range(k)], [4] * k)
+    assert str(exc.value) == "the stable box on 8000 coordinates exceeds cap 10000000"
+
+
 def test_stable_configs_stay_stable_under_identity_add():
     g = grid_sandpile(2, 2)
     e = identity_config(g)

@@ -15,6 +15,7 @@ from sandpiles import (
     enumerate_symmetric_recurrents,
     fold,
     grid_action,
+    grid_fold,
     grid_sandpile,
     identity_config,
     is_recurrent,
@@ -32,7 +33,11 @@ from sandpiles.engine import _burns, _recurrents, _topple
 from sandpiles.errors import SymmetryError
 from sandpiles.formulas import closed_form_count
 from sandpiles.linalg import det_int
-from sandpiles.symmetry import _folded_system
+from sandpiles.symmetry import (
+    _folded_system,
+    sink_weights,
+    system_matrix,
+)
 
 from conftest import recurrents_by_filter
 
@@ -325,6 +330,37 @@ def test_orbit_counts():
     assert act.orbits[:2] == [[0, 3, 8, 11], [1, 2, 9, 10]]
     assert act.representatives == [0, 1, 4, 5]
     assert [act.orbit_of[v] for v in (11, 2, 7, 6)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_grid_fold_is_the_generic_fold(rows):
+    for cols in range(1, 17):
+        g = grid_sandpile(rows, cols)
+        actions = {"klein": klein_action(rows, cols)}
+        if rows == cols:
+            actions["d4"] = dihedral_action(rows)
+        for group, action in actions.items():
+            (thresholds, out), orbit_of = grid_fold(rows, cols, group)
+            assert (thresholds, out) == tuple(_folded_system(g, action))
+            assert orbit_of == action.orbit_of
+            assert tuple(sink_weights(thresholds, out)) == fold(action, burning_config(g))
+
+
+def test_grid_fold_refuses_other_groups_and_shapes():
+    with pytest.raises(ValueError, match="square"):
+        grid_fold(4, 5, "d4")
+    with pytest.raises(ValueError, match="unknown"):
+        grid_fold(4, 4, "dihedral")
+    with pytest.raises(ValueError, match="positive"):
+        grid_fold(0, 4, "klein")
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (3, 3), (4, 5), (6, 6), (7, 4)])
+def test_system_matrix_is_the_symmetrized_laplacian(rows, cols):
+    g, action = grid_sandpile(rows, cols), grid_action(rows, cols)
+    group = "d4" if rows == cols else "klein"
+    assert (system_matrix(*grid_fold(rows, cols, group)[0])
+            == symmetrized_laplacian(g, action) == dense_symmetrized_laplacian(g, action))
 
 
 def test_symmetrized_laplacian_triangle(triangle, triangle_swap):
