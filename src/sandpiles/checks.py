@@ -11,11 +11,11 @@ staircase checks.  Every value is an exact integer or a boolean.
 from math import gcd
 
 from .blocks import grid_parity, parity_blocks
-from .engine import _recurrents, config_order
-from .formulas import block_tridiag_det, closed_form_count
+from .engine import _check_box, _order, _recurrents, config_order
+from .formulas import band_reduce, block_tridiag_det, closed_form_count
 from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
+from .linalg import det_int
 from .symmetry import (
-    grid_config_order,
     grid_fold,
     klein_action,
     sink_weights,
@@ -30,53 +30,36 @@ def sym_laplacian(rows, cols):
     return symmetrized_laplacian(grid_sandpile(rows, cols), klein_action(rows, cols))
 
 
-def _fold_blocks(system, width):
-    """(A, B, C, m) of a folded system (thresholds, out) whose orbits are
-    numbered row by row, `width` to a row: its matrix S (row Gw, column
-    Gv: out_degree[v] on the diagonal, less out[v][w]) must be block
-    tridiagonal with diagonal blocks (A, ..., A, B), couplings -I and
-    -C at block (m, m-1), the shape `block_tridiag_det` takes.  Any
-    other shape raises ValueError."""
-    thresholds, out = system
-    m, rest = divmod(len(thresholds), width)
-    if rest:
-        raise ValueError("the orbits do not fill whole block rows")
-    # row w of S on the block columns I - 1, I and I + 1, I = w // width
-    band = [[0] * (3 * width) for _ in thresholds]
+def _klein_rows(rows, cols):
+    """The Klein fold S as (its rows of (column, entry) pairs, width),
+    laid along the shorter side: the transpose is folded when
+    cols > rows, which keeps det S and every constant configuration's
+    order.  Its orbits, numbered row by row, width = ceil(cols/2) to a
+    row, give S the band and -1 couplings that `band_reduce` takes."""
+    if cols > rows:
+        rows, cols = cols, rows
+    (thresholds, out), _ = grid_fold(rows, cols, "klein")
+    band = [{w: t} for w, t in enumerate(thresholds)]
     for v, gains in enumerate(out):
-        band[v][width + v % width] += thresholds[v]
         for w, wt in gains.items():
-            col = v - (w // width - 1) * width
-            if not 0 <= col < 3 * width:
-                raise ValueError("the fold is not block tridiagonal")
-            band[w][col] -= wt
-
-    def block(i, j):  # block (i, i + j - 1) of S
-        return [row[j * width:(j + 1) * width]
-                for row in band[i * width:(i + 1) * width]]
-
-    minus_one = [[-(i == j) for j in range(width)] for i in range(width)]
-    a = block(0, 1)
-    if (any(block(i, 1) != a for i in range(1, m - 1))
-            or any(block(i, 2) != minus_one for i in range(m - 1))
-            or any(block(i, 0) != minus_one for i in range(1, m - 1))):
-        raise ValueError("the fold's blocks are not (A, ..., A, B) with couplings -I")
-    return a, block(m - 1, 1), [[-x for x in row] for row in block(m - 1, 0)], m
+            band[w][v] = band[w].get(v, 0) - wt
+    return [list(row.items()) for row in band], (cols + 1) // 2
 
 
 def det_count(rows, cols):
-    """The determinant of the Klein fold S, by the block recurrence on
-    S's own blocks.  The orbits (i, j), numbered row by row, make S block
-    tridiagonal, one block per orbit row; the blocks are laid along the
-    shorter side (the transpose is folded when cols > rows, which keeps
-    the determinant), so the recurrence ends in one ceil(min/2)-square
-    determinant.  The "block" count runs the same recurrence on the
-    `parity_blocks` formulas instead of the graph's fold; Bareiss on the
-    whole fold (`sym_laplacian`) stays the tests' oracle."""
-    if cols > rows:
-        rows, cols = cols, rows
-    system, _ = grid_fold(rows, cols, "klein")
-    return block_tridiag_det(*_fold_blocks(system, (cols + 1) // 2))
+    """det S of the Klein fold, as det M of `band_reduce`, ceil(min/2)
+    square.  The "block" count reduces `parity_blocks` instead; Bareiss
+    on the whole fold (`sym_laplacian`) stays the tests' oracle."""
+    return det_int(band_reduce(*_klein_rows(rows, cols), [])[0])
+
+
+def grid_config_order(rows, cols, value):
+    """The order of the constant configuration `value` on the grid:
+    `symmetric_config_order` on the Klein fold S, as the order of t
+    against M from `band_reduce`."""
+    band, width = _klein_rows(rows, cols)
+    m, (t,) = band_reduce(band, width, [[value] * len(band)])
+    return _order(m, t)
 
 
 def tiling_board(parity, m, n):
@@ -95,7 +78,9 @@ def count_methods(rows, cols):
 
     def enumerate_count():
         # the up-set search of `enumerate_symmetric_recurrents`, counted
-        # on the Klein fold without unfolding its results
+        # on the Klein fold without unfolding its results; its box, 4 per
+        # orbit, is checked before the fold is built
+        _check_box([4] * (((rows + 1) // 2) * ((cols + 1) // 2)))
         (thresholds, out), _ = grid_fold(rows, cols, "klein")
         return len(_recurrents(thresholds, out, sink_weights(thresholds, out)))
 

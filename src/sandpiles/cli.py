@@ -14,7 +14,7 @@ from math import gcd
 from . import checks
 from .errors import SizeCapError
 from .graphs import board_graph
-from .symmetry import grid_config_order, grid_identity
+from .symmetry import grid_identity
 from .tilings import a_seq_upto, count_matchings, enumerate_matchings
 
 EXIT_OK, EXIT_DISAGREE, EXIT_USAGE, EXIT_SIZE = 0, 1, 2, 3
@@ -66,7 +66,7 @@ def cmd_count_tilings(args):
 
 def cmd_order(args):
     fill = 1 if args.config == "all-ones" else 2
-    order = grid_config_order(args.rows, args.cols, fill)
+    order = checks.grid_config_order(args.rows, args.cols, fill)
     report = {"rows": args.rows, "cols": args.cols, "config": args.config,
               "order": order}
     if args.config == "all-ones":

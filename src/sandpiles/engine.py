@@ -18,10 +18,6 @@ from .linalg import solve_int
 DEFAULT_ENUM_CAP = 10**7
 
 
-def _enum_cap():
-    return int(os.environ.get("SANDPILE_ENUM_CAP", DEFAULT_ENUM_CAP))
-
-
 def max_stable(g):
     """c_max: out-degree minus one everywhere."""
     return tuple(d - 1 for d in g.out_degree)
@@ -74,6 +70,17 @@ def _burns(thresholds, out, c, beta):
     return res == tuple(c) and all(f >= 1 for f in fire)
 
 
+def _check_box(thresholds):
+    """Raise SizeCapError if the stable box, prod(thresholds), exceeds
+    `SANDPILE_ENUM_CAP`; the product stops growing once it passes."""
+    cap, total = int(os.environ.get("SANDPILE_ENUM_CAP", DEFAULT_ENUM_CAP)), 1
+    for t in thresholds:
+        total *= t
+        if total > cap:
+            raise SizeCapError(f"the stable box on {len(thresholds)} coordinates "
+                               f"exceeds cap {cap}")
+
+
 def _recurrents(thresholds, out, beta):
     """Every configuration of the stable box (0 <= c_v < thresholds[v])
     that passes the burning test, in lexicographic order.
@@ -87,15 +94,10 @@ def _recurrents(thresholds, out, beta):
     maximum and resets the later ones.  Each result has passed its own
     test, and k coordinates and R results take at most k*R + 1 tests:
     each success is a distinct search node, whose scan fails at most once.
-    `SANDPILE_ENUM_CAP` bounds the box, prod(thresholds), checked before
-    any test; the product stops growing once it passes the cap.
+    `SANDPILE_ENUM_CAP` bounds the box, checked before any test
+    (`_check_box`).
     """
-    cap, total = _enum_cap(), 1
-    for t in thresholds:
-        total *= t
-        if total > cap:
-            raise SizeCapError(f"the stable box on {len(thresholds)} coordinates "
-                               f"exceeds cap {cap}")
+    _check_box(thresholds)
     top = [t - 1 for t in thresholds]
     c = list(top)
     if not _burns(thresholds, out, c, beta):

@@ -1,5 +1,5 @@
-"""Block-tridiagonal determinants and the closed-form symmetric-recurrent
-counts.
+"""The banded reduction behind every Klein-fold determinant and element
+order (`band_reduce`), and the closed-form symmetric-recurrent counts.
 
 The closed forms are products over the cosine roots of Chebyshev
 polynomials.  The product, Chebyshev and Lu-Wu forms are one exact
@@ -9,51 +9,78 @@ matrix, computed with `det_int`.  None depends on the block
 determinant, which is the independent closed form that checks them.
 """
 
+from itertools import repeat
+from operator import add, mul, sub
+
 from .errors import SizeCapError
-from .linalg import det_int, mat_identity
+from .linalg import det_int
 
 # Largest Sylvester matrix a closed form may eliminate: its cost grows as
 # the cube of the dimension (m + n, the two degrees) in big-integer steps.
 SYLVESTER_DIM_CAP = 128
 
 
-def _times(a, s, minus):
-    """a s - minus, with the sparse a given as each row's nonzero
-    (column, entry) pairs: a row of the product costs one pass over a
-    row of s per nonzero, a big x small step per entry."""
-    out = []
-    for terms, row in zip(a, minus):
-        (j, x), *rest = terms or [(0, 0)]  # a zero row gives -minus
-        acc = [x * y - z for y, z in zip(s[j], row)]
-        for j, x in rest:
-            acc = [u + x * y for u, y in zip(acc, s[j])]
-        out.append(acc)
-    return out
+def band_reduce(rows, width, columns):
+    """Shoot through the k x k integer matrix S, given as each row's
+    (column, entry) pairs, to one width x width matrix M.
+
+    S must have k a multiple of `width`, S[r][r + width] = -1 for
+    r < k - width, and every other entry within `width` of the diagonal
+    (the last `width` rows may reach back to column k - 2 width), or
+    ValueError is raised.  With x_0..x_{width-1} as the unknowns u, row
+    r < k - width gives x_{r+width} as an integer row [coefficients of
+    u | a constant per right-hand side c in `columns`], and the last
+    `width` rows of S x = c read M u = t; only 2 width rows are kept.
+    Returns (M, [t for each c]).  u -> x is onto the integer solutions,
+    so the order of c against S (`engine._order`) is that of t against
+    M, and det S = det M: the shift of the -1 couplings to the corner
+    has sign (-1)^((k - width)(width + 1)) = 1.
+    """
+    k, n, two = len(rows), width + len(columns), 2 * width
+    if width < 1 or k % width or any(len(col) != k for col in columns):
+        raise ValueError("S is not whole blocks of `width` rows, or c is not k long")
+    ring = [[int(u == v) for u in range(n)] for v in range(width)] + [None] * width
+    last = []
+    for r, row in enumerate(rows):
+        low, high = max(min(r, k - width) - width, 0), min(r + width, k)
+        coupled = r + width >= k
+        acc = [0] * width + [-col[r] for col in columns]
+        for j, x in row:
+            if j == r + width and not coupled and x == -1:
+                coupled = True
+            elif not low <= j < high:
+                raise ValueError(f"entry ({r}, {j}) is outside the band, or not -1")
+            else:  # summed lazily, in one pass at the end
+                y = ring[j % two]
+                acc = map(sub, acc, y) if x == -1 else map(add, acc, map(mul, y, repeat(x)))
+        if not coupled:
+            raise ValueError(f"row {r} has no coupling -1")
+        acc = list(acc)
+        if r + width < k:
+            ring[(r + width) % two] = acc  # x_{r+width}, in the place of x_{r-width}
+        else:
+            last.append(acc)
+    return [row[:width] for row in last], [[-row[i] for row in last] for i in range(width, n)]
 
 
 def block_tridiag_det(a, b, c, m):
     """Determinant of the block-tridiagonal matrix with diagonal blocks
-    (A, ..., A, B), off-diagonal -I, and -C in position (m, m-1).
-
-    Uses the integer matrix recurrence S_0 = I, S_1 = A,
-    S_j = A S_{j-1} - S_{j-2}, and returns det(B S_{m-1} - C S_{m-2}),
-    one n x n determinant.  For m = 1 this is det(B).  A, B and C act
-    through their nonzeros only, so on the tridiagonal grid blocks each
-    level costs about 3 n^2 big x small steps.
+    (A, ..., A, B), off-diagonal -I, and -C in position (m, m-1):
+    `band_reduce` shoots through its rows to the n x n matrix
+    M = B S_{m-1} - C S_{m-2} of the recurrence S_0 = I, S_1 = A,
+    S_j = A S_{j-1} - S_{j-2}, and det M is the result (det B if m = 1).
     """
     n = len(a)
-    if any(len(mat) != n or any(len(r) != n for r in mat) for mat in (a, b, c)):
-        raise ValueError("blocks must be square matrices of equal size")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m == 1:
-        return det_int(b)
-    s_prev, s_cur = mat_identity(n), a  # S_0, S_1
-    a, b, c = ([[(j, x) for j, x in enumerate(row) if x] for row in mat]
-               for mat in (a, b, c))
-    for _ in range(m - 2):
-        s_prev, s_cur = s_cur, _times(a, s_cur, s_prev)
-    return det_int(_times(b, s_cur, _times(c, s_prev, [[0] * n] * n)))
+    if m < 1 or any(len(mat) != n or any(len(r) != n for r in mat) for mat in (a, b, c)):
+        raise ValueError("m must be positive, and the blocks square and of equal size")
+    a, b, c = ([[(j, x) for j, x in enumerate(row) if x] for row in mat] for mat in (a, b, c))
+    rows = []
+    for i in range(m):
+        for p, diag in enumerate(b if i == m - 1 else a):
+            below = [(j - n, -x) for j, x in c[p]] if i == m - 1 else [(p - n, -1)]
+            rows.append([(i * n + j, x) for j, x in diag + below * (i > 0)]
+                        + [(i * n + p + n, -1)] * (i < m - 1))
+    return det_int(band_reduce(rows, n, [])[0])
 
 
 # --- the closed forms as resultants ---

@@ -16,11 +16,11 @@ Any graph folds through a `GroupAction`, built from its generators: the
 column and row reflections for Klein, and the column reflection and a
 quarter turn for D4.  The grid commands skip that path: `grid_fold`
 builds the Klein or D4 fold of a grid straight from the quarter grid's
-cells, with no unfolded graph and no group, and `grid_config_order` and
-`grid_identity` run on the larger fold.  Counts are of Klein-symmetric
-recurrents, the determinant of the Klein fold S on every grid;
-`checks.det_count` reads S's blocks off the folded system and runs the
-block recurrence on them.
+cells, with no unfolded graph and no group.  `grid_identity` runs on
+the D4 fold of a square grid.  Counts (`checks.det_count`) and element
+orders (`checks.grid_config_order`) run on the Klein fold S of every
+grid, shooting through S's rows to one small matrix
+(`formulas.band_reduce`).
 """
 
 from itertools import chain
@@ -112,11 +112,9 @@ def dihedral_action(n):
 
 
 def grid_action(rows, cols):
-    """The largest grid symmetry group the package folds by: D4 on a
-    square grid, the Klein four-group otherwise.  Both fix every
-    constant configuration and the identity, and every element order is
-    the same on either fold.  Counts stay Klein counts, taken from the
-    Klein fold on every grid (`checks.det_count`)."""
+    """The group `grid_identity` folds by: D4 on a square grid, the
+    Klein four-group otherwise.  Counts and element orders run on the
+    Klein fold of every grid (`checks`)."""
     return dihedral_action(rows) if rows == cols else klein_action(rows, cols)
 
 
@@ -215,22 +213,10 @@ def sink_weights(thresholds, out):
     return beta
 
 
-def _grid_system(rows, cols):
-    """The grid fold by `grid_action`'s group: D4 if square, else Klein."""
-    return grid_fold(rows, cols, "d4" if rows == cols else "klein")
-
-
-def grid_config_order(rows, cols, value):
-    """The order of the constant configuration `value` on the rows x cols
-    grid, as `symmetric_config_order` on `grid_action`'s fold."""
-    (thresholds, out), _ = _grid_system(rows, cols)
-    return _order(system_matrix(thresholds, out), (value,) * len(thresholds))
-
-
 def grid_identity(rows, cols):
     """The identity of the rows x cols grid, as `symmetric_identity` on
-    `grid_action`'s fold."""
-    system, orbit_of = _grid_system(rows, cols)
+    `grid_action`'s fold (D4 folds by 8, which saves toppling work)."""
+    system, orbit_of = grid_fold(rows, cols, "d4" if rows == cols else "klein")
     e = _identity(*system)
     return tuple(e[k] for k in orbit_of)
 

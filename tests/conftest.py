@@ -36,3 +36,21 @@ def recurrents_by_filter(thresholds, out, beta):
     per configuration of the stable box, in lexicographic order."""
     return [c for c in product(*(range(t) for t in thresholds))
             if _burns(thresholds, out, c, beta)]
+
+
+def assembled(a, b, c, m):
+    """The block-tridiagonal matrix itself: diagonal (A, ..., A, B),
+    couplings -I, and -C at block (m, m-1)."""
+    n = len(a)
+    big = [[0] * (m * n) for _ in range(m * n)]
+    for k in range(m):
+        for i in range(n):
+            for j in range(n):
+                big[k * n + i][k * n + j] = (b if k == m - 1 else a)[i][j]
+                if k and i == j:
+                    big[k * n + i][(k - 1) * n + j] = -1
+                    big[(k - 1) * n + i][k * n + j] = -1
+    for i in range(n if m > 1 else 0):
+        for j in range(n):
+            big[(m - 1) * n + i][(m - 2) * n + j] = -c[i][j]
+    return big

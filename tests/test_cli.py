@@ -14,6 +14,7 @@ from sandpiles import (
     symmetric_config_order,
     symmetric_identity,
 )
+from sandpiles import checks
 from sandpiles.cli import main
 
 
@@ -367,6 +368,38 @@ def test_enumerate_beyond_the_cap_on_a_large_grid_exits_3(capsys):
                              "--cols", "170", "--method", "enumerate")
     assert (code, out) == (3, "")
     assert err == "size cap exceeded: the stable box on 7225 coordinates exceeds cap 10000000\n"
+
+
+def test_enumerate_checks_the_box_before_building_the_fold(capsys, monkeypatch):
+    def unused(*args):
+        raise AssertionError("the fold was built")
+
+    monkeypatch.setattr("sandpiles.checks.grid_fold", unused)
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "1000",
+                             "--cols", "1000", "--method", "enumerate")
+    assert (code, out) == (3, "")
+    assert err == ("size cap exceeded: the stable box on 250000 coordinates "
+                   "exceeds cap 10000000\n")
+
+
+def test_order_builds_no_d4_fold_and_no_dense_fold(capsys, monkeypatch):
+    fold = checks.grid_fold
+
+    def klein_only(rows, cols, group):
+        assert group == "klein", "a D4 fold was built"
+        return fold(rows, cols, group)
+
+    def unused(*args):
+        raise AssertionError("the dense fold was built")
+
+    monkeypatch.setattr("sandpiles.checks.grid_fold", klein_only)
+    monkeypatch.setattr("sandpiles.checks.system_matrix", unused)
+    monkeypatch.setattr("sandpiles.symmetry.system_matrix", unused)
+    for rows, cols in ((9, 9), (12, 12), (8, 5), (1, 7)):
+        for config in ("all-ones", "all-twos"):
+            code, out, _ = run_cli(capsys, "order", "--rows", str(rows),
+                                   "--cols", str(cols), "--config", config)
+            assert code == 0
 
 
 def test_counts_past_the_digit_limit_are_printed(capsys, monkeypatch):

@@ -16,6 +16,8 @@ from sandpiles.formulas import (
 )
 from sandpiles.linalg import det_int
 
+from conftest import assembled
+
 
 def _expanded(roots):
     """Coefficients of prod (y - root), lowest degree first, in floats."""
@@ -63,24 +65,6 @@ def test_block_det_matches_assembled_matrix(parity, m, n):
                   "odd_odd": (2 * m - 1, 2 * n - 1)}[parity]
     assert (block_tridiag_det(*parity_blocks(parity, n), m)
             == det_int(checks.sym_laplacian(rows, cols)))
-
-
-def assembled(a, b, c, m):
-    """The block-tridiagonal matrix itself: diagonal (A, ..., A, B),
-    couplings -I, and -C at block (m, m-1)."""
-    n = len(a)
-    big = [[0] * (m * n) for _ in range(m * n)]
-    for k in range(m):
-        for i in range(n):
-            for j in range(n):
-                big[k * n + i][k * n + j] = (b if k == m - 1 else a)[i][j]
-                if k and i == j:
-                    big[k * n + i][(k - 1) * n + j] = -1
-                    big[(k - 1) * n + i][k * n + j] = -1
-    for i in range(n if m > 1 else 0):
-        for j in range(n):
-            big[(m - 1) * n + i][(m - 2) * n + j] = -c[i][j]
-    return big
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,11 +27,11 @@ from sandpiles import (
     symmetrized_laplacian,
     unfold,
 )
-from sandpiles import checks, formulas
+from sandpiles import checks
 from sandpiles.blocks import grid_parity, parity_blocks
-from sandpiles.engine import _burns, _recurrents, _topple
+from sandpiles.engine import _burns, _order, _recurrents, _topple
 from sandpiles.errors import SymmetryError
-from sandpiles.formulas import closed_form_count
+from sandpiles.formulas import band_reduce, closed_form_count
 from sandpiles.linalg import det_int
 from sandpiles.symmetry import (
     _folded_system,
@@ -39,7 +39,7 @@ from sandpiles.symmetry import (
     system_matrix,
 )
 
-from conftest import recurrents_by_filter
+from conftest import assembled, recurrents_by_filter
 
 # one grid per parity class, both orientations of even x odd, and the
 # degenerate shapes on which some Klein elements coincide
@@ -211,7 +211,7 @@ def test_odd_block_is_a_k(k):
 
 
 def record_det_int_sizes(monkeypatch):
-    """Wrap `det_int` where `det_count` reaches it; the list fills with
+    """Wrap `det_int` where `det_count` calls it; the list fills with
     the order of each matrix eliminated."""
     sizes = []
 
@@ -219,7 +219,7 @@ def record_det_int_sizes(monkeypatch):
         sizes.append(len(m))
         return det_int(m)
 
-    monkeypatch.setattr(formulas, "det_int", recorded)
+    monkeypatch.setattr(checks, "det_int", recorded)
     return sizes
 
 
@@ -251,44 +251,84 @@ def test_det_count_lays_the_blocks_along_the_shorter_side(rows, cols, monkeypatc
     assert sizes == [(min(rows, cols) + 1) // 2] * 2
 
 
-def test_fold_blocks_refuses_other_shapes():
-    # the 6 x 6 fold: three block rows of width 3, orbit o = 3 i + j
-    def system():
-        return _folded_system(grid_sandpile(6, 6), klein_action(6, 6))
+def sparse_rows(matrix):
+    """A dense matrix as the rows of (column, entry) pairs that
+    `band_reduce` takes."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
 
-    assert checks._fold_blocks(system(), 3)[3] == 3
-    below = system()
-    below[1][0][6] = 1  # orbit 0 feeds orbit 6, two block rows down
-    above = system()
-    above[1][6][0] = 1  # and orbit 6 feeds orbit 0, two block rows up
-    upper = system()
-    upper[1][3][0] = 2  # orbit 3 feeds orbit 0 twice: a coupling -2 above
-    lower = system()
-    lower[1][0][3] = 2  # and orbit 0 feeds orbit 3 twice, below
-    diagonal = system()
-    diagonal[0][4] += 1  # the middle diagonal block is not A
-    for bad in (below, above, upper, lower, diagonal):
+
+def test_band_reduce_refuses_other_shapes():
+    # the 6 x 6 fold: three orbit rows of width 3, orbit o = 3 i + j
+    def fold():
+        return system_matrix(*_folded_system(grid_sandpile(6, 6), klein_action(6, 6)))
+
+    below = fold()
+    below[6][0] = -1  # orbit 0 feeds orbit 6, two orbit rows down
+    middle = fold()
+    middle[5][1] = -1  # orbit 1 feeds orbit 5, more than 3 behind
+    above = fold()
+    above[0][6] = -1  # and orbit 6 feeds orbit 0, two orbit rows up
+    upper = fold()
+    upper[0][3] = -2  # orbit 3 feeds orbit 0 twice: a coupling -2
+    missing = fold()
+    missing[1][4] = 0  # no coupling at all
+    for bad in (below, middle, above, upper, missing):
         with pytest.raises(ValueError):
-            checks._fold_blocks(bad, 3)
-    path = _folded_system(grid_sandpile(6, 1), klein_action(6, 1))
+            band_reduce(sparse_rows(bad), 3, [])
+    path = system_matrix(*_folded_system(grid_sandpile(6, 1), klein_action(6, 1)))
     with pytest.raises(ValueError):
-        checks._fold_blocks(path, 2)  # 3 orbits are not whole rows of 2
+        band_reduce(sparse_rows(path), 2, [])  # 3 orbits are not whole rows of 2
+    with pytest.raises(ValueError):
+        band_reduce(sparse_rows(fold()), 3, [[1] * 8])  # c has 8 entries, not 9
+
+
+def test_band_reduce_takes_any_band_inside_the_couplings():
+    # the shapes the block recurrence did not take: a coupling -2 below
+    # and a diagonal entry that breaks (A, ..., A, B)
+    lower = system_matrix(*_folded_system(grid_sandpile(6, 6), klein_action(6, 6)))
+    lower[3][0] = -2  # orbit 0 feeds orbit 3 twice
+    diagonal = system_matrix(*_folded_system(grid_sandpile(6, 6), klein_action(6, 6)))
+    diagonal[4][4] += 1
+    for matrix in (lower, diagonal):
+        c = list(range(1, 10))
+        m, (t,) = band_reduce(sparse_rows(matrix), 3, [c])
+        assert det_int(m) == det_int(matrix)
+        assert _order(m, t) == _order(matrix, c)
+
+
+@pytest.mark.parametrize("width,blocks", [(1, 1), (1, 5), (3, 1), (2, 3), (4, 2)])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_band_reduce_keeps_det_and_orders(width, blocks, data):
+    k = width * blocks
+    entry = st.integers(-3, 3)
+    matrix = [[0] * k for _ in range(k)]
+    for r in range(k):
+        for j in range(max(min(r, k - width) - width, 0), min(r + width, k)):
+            matrix[r][j] = data.draw(entry)
+        if r + width < k:
+            matrix[r][r + width] = -1
+    cs = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=2))
+    m, ts = band_reduce(sparse_rows(matrix), width, cs)
+    assert len(m) == width and len(ts) == len(cs)
+    det = det_int(m)
+    assert det == det_int(matrix)
+    if det:
+        for c, t in zip(cs, ts):
+            assert _order(m, t) == _order(matrix, c)
 
 
 @pytest.mark.parametrize("rows", range(1, 17))
 def test_fold_blocks_are_the_papers_parity_blocks(rows):
-    """The Klein fold of every grid, in `grid_parity`'s orientation, has
-    the paper's blocks (`parity_blocks`); at m = 1 the recurrence reads
-    only B, and A and C are not blocks of the fold."""
+    """Paper claim (i): the Klein fold of every grid, in `grid_parity`'s
+    orientation and numbered row by row, is the block matrix of
+    `parity_blocks`: diagonal blocks (A, ..., A, B), couplings -I and
+    -C at block (m, m-1)."""
     for cols in range(1, 17):
         parity, m, n, transposed = grid_parity(rows, cols)
         r, c = (cols, rows) if transposed else (rows, cols)
-        system = _folded_system(grid_sandpile(r, c), klein_action(r, c))
-        a, b, c_block, fold_m = checks._fold_blocks(system, (c + 1) // 2)
-        want_a, want_b, want_c = parity_blocks(parity, n)
-        assert (fold_m, b) == (m, want_b)
-        if m >= 2:
-            assert (a, c_block) == (want_a, want_c)
+        fold = system_matrix(*grid_fold(r, c, "klein")[0])
+        assert fold == assembled(*parity_blocks(parity, n), m)
 
 
 def maps_to_perms(m, n, maps):
@@ -634,6 +674,34 @@ def test_symmetric_config_order_directed_grids(shape, values):
     assert not g.undirected
     c = unfold(act, values[:len(act.orbits)])
     assert symmetric_config_order(g, act, c) == config_order(g, c)
+
+
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_grid_config_order_is_the_order_on_the_whole_fold(rows):
+    """`checks.grid_config_order` solves one ceil(min/2)-square matrix;
+    the oracle solves the whole Klein fold, and the D4 fold on squares.
+    The 1 x n, 2 x n and n x 1 grids are those whose reduced matrix is
+    the whole fold of one orbit row, or of one orbit column."""
+    for cols in range(1, 17):
+        g = grid_sandpile(rows, cols)
+        actions = [klein_action(rows, cols)]
+        if rows == cols:
+            actions.append(dihedral_action(rows))
+        for value in (1, 2, 3):
+            c = (value,) * g.vertex_count
+            order = checks.grid_config_order(rows, cols, value)
+            assert all(order == symmetric_config_order(g, a, c) for a in actions)
+
+
+@pytest.mark.parametrize("rows,cols", [(48, 47), (64, 64)])
+def test_grid_config_order_on_large_grids(rows, cols):
+    g = grid_sandpile(rows, cols)
+    actions = [klein_action(rows, cols)]
+    if rows == cols:
+        actions.append(dihedral_action(rows))
+    c = (2,) * g.vertex_count
+    order = checks.grid_config_order(rows, cols, 2)
+    assert all(order == symmetric_config_order(g, a, c) for a in actions)
 
 
 def test_symmetric_config_order_pinned_all_twos():
