@@ -11,14 +11,13 @@ staircase checks.  Every value is an exact integer or a boolean.
 from math import gcd
 
 from .blocks import grid_parity, parity_blocks
-from .engine import _check_box, _order, _recurrents, config_order
+from .engine import _check_box, _order, _recurrents, config_order, sink_weights
 from .formulas import band_reduce, block_tridiag_det, closed_form_count
 from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
 from .linalg import det_int
 from .symmetry import (
     grid_fold,
     klein_action,
-    sink_weights,
     symmetrized_laplacian,
     system_matrix,
 )

@@ -5,17 +5,32 @@ per vertex and, per vertex, the grains each target gains when it fires.
 A sandpile graph is the system (out_degree, out); `symmetry` builds the
 folded system of a group action, whose vertices are orbits, and runs the
 same kernel, burning test and identity formula on it.
+
+The identity takes two stabilizations.  Given a float estimate of the
+torsion S^-1 1 (S the system's firing matrix), `_identity` starts each
+one pre-fired near its odometer, so toppling only finishes the
+avalanche, and keeps the result only if one burning test certifies it;
+`symmetry.grid_identity` passes such an estimate for grids.
 """
 
 import os
 from collections import deque
-from math import gcd
+from math import floor, gcd
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian
 from .linalg import solve_int
 
 DEFAULT_ENUM_CAP = 10**7
+
+# Step 1 of `_identity` pre-fires FIRST_START * tau on 2 c_max.  On a
+# grid fold (every threshold 4) its odometer is S^-1 (6 - q) for
+# q = stab(2 c_max), and the mean of q is about 2.2-2.3 at 16^2-96^2, so
+# the odometer is near 3.7-3.8 tau; the stable q <= 3 makes 3 tau a lower
+# bound.  A start past the odometer in places is still exact (see
+# `_identity`); at 48 x 48, step 1 then fires 384 times against 18,343
+# from 3 tau and 97,783 from zero.
+FIRST_START = 3.8
 
 
 def max_stable(g):
@@ -41,6 +56,12 @@ def _topple(thresholds, out, c):
     run since no firing takes more than threshold_v from v or any sand
     from another vertex; the result is independent of the processing
     order (abelian property), so batching is purely speed.
+
+    c may hold negative entries, as a start pre-fired by `_fired` does: a
+    vertex below its threshold never fires, so it only gains grains.  By
+    least action, if c = c0 - S u0 with 0 <= u0 <= the odometer of c0,
+    the result is c0's stable configuration and the firing vector is
+    that odometer less u0.
     """
     amts = list(c)
     n = len(amts)
@@ -121,11 +142,55 @@ def _recurrents(thresholds, out, beta):
         j += 1
 
 
-def _identity(thresholds, out):
-    """(c_max + (c_max - (2 c_max)o))o on a firing system."""
+def _fired(thresholds, out, c, u):
+    """c - S u: c after firing each vertex v u[v] times, legal or not."""
+    amts = [x - t * k for x, t, k in zip(c, thresholds, u)]
+    for v, k in enumerate(u):
+        if k:
+            for w, wt in out[v].items():
+                amts[w] += k * wt
+    return amts
+
+
+def sink_weights(thresholds, out):
+    """Each threshold less what every vertex gives it when it fires (S 1):
+    on the fold of an undirected graph, the folded burning configuration."""
+    beta = list(thresholds)
+    for gains in out:
+        for w, wt in gains.items():
+            beta[w] -= wt
+    return beta
+
+
+def _identity(thresholds, out, tau=None):
+    """(c_max + (c_max - (2 c_max)o))o on a firing system.
+
+    With tau, a float estimate of the torsion S^-1 1, both stabilizations
+    start pre-fired.  Step 1 fires v0 = floor(FIRST_START * tau) on
+    2 c_max and topples to a stable q = 2 c_max - S V, V being v0 plus
+    the firings; for any integer v0, x = 2 c_max - q is in the class of
+    0 and x >= c_max, so stab(x) is the identity e.  Step 2 fires
+    u2 = max(0, floor(V - top * tau) - 1) on x, top = max(thresholds) - 1:
+    e <= top makes S^-1 e <= top * tau (S^-1 >= 0), so for exact tau
+    0 <= u2 <= V - S^-1 e, which is x's odometer, and toppling ends at e
+    by least action.  tau is a float, so that result is kept only if it
+    is non-negative and passes one burning test, since e is the only
+    recurrent configuration in the class of 0; otherwise x is stabilized
+    from zero.  Without tau, both stabilizations start from zero.
+    """
     twice = [2 * (t - 1) for t in thresholds]
-    stab = _topple(thresholds, out, twice)[0]
-    return _topple(thresholds, out, [t - s for t, s in zip(twice, stab)])[0]
+    if tau is None:
+        stab = _topple(thresholds, out, twice)[0]
+        return _topple(thresholds, out, [t - s for t, s in zip(twice, stab)])[0]
+    v0 = [floor(FIRST_START * y) for y in tau]
+    stab, fire = _topple(thresholds, out, _fired(thresholds, out, twice, v0))
+    x = [t - s for t, s in zip(twice, stab)]
+    top = max(thresholds) - 1
+    u2 = [max(0, floor(v + f - top * y) - 1) for v, f, y in zip(v0, fire, tau)]
+    e = _topple(thresholds, out, _fired(thresholds, out, x, u2))[0]
+    if min(e) >= 0 and _burns(thresholds, out, e, sink_weights(thresholds, out)):
+        return e
+    return _topple(thresholds, out, x)[0]
 
 
 def stabilize(g, c):

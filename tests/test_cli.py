@@ -150,9 +150,13 @@ def test_identity_unwritable_out_is_a_usage_error(capsys, tmp_path):
     (5, 5, "json", "1f0c1a301f61ba828463d93b9c1fdfec83d147131dd725f77286a8885c221a68"),
     (4, 4, "pgm", "09c26f208917910344964a28f654328352ae74452dea53c79f7506e3b1c5eb51"),
     (4, 4, "json", "229e80557d233759d6843beddd38a5141c91f061b1cc6bbd99a21056943da009"),
+    (48, 48, "pgm", "60d2eaf392371e2e0691c09122ecb0463fcc989aac91428af686c723c69e5f58"),
+    (64, 63, "pgm", "91023292e3e4883d3c0907e5e421f089f3c9647a37c0f3a005b8319fb0cdd1a6"),
+    (96, 96, "pgm", "562343e8671b03a8faffffbc4543aac9e52414975c728eefb83c05eeca50314b"),
 ])
 def test_identity_bytes_are_pinned(capsys, tmp_path, rows, cols, fmt, digest):
-    # the digests are of the images the unfolded identity_config renders
+    # the digests are of the images the unfolded identity_config renders,
+    # and those of 48 x 48 and larger of the zero-start toppling on the fold
     out = tmp_path / f"e.{fmt}"
     code, stdout, _ = run_cli(capsys, "identity", "--rows", str(rows), "--cols",
                               str(cols), "--out", str(out), "--format", fmt)

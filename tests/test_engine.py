@@ -10,6 +10,7 @@ from sandpiles import (
     config_order,
     d_family,
     enumerate_recurrents,
+    grid_fold,
     grid_sandpile,
     identity_config,
     is_recurrent,
@@ -19,7 +20,7 @@ from sandpiles import (
     stabilize,
     stable_add,
 )
-from sandpiles.engine import _recurrents, _topple, is_stable
+from sandpiles.engine import _fired, _recurrents, _topple, is_stable
 from sandpiles.errors import SizeCapError
 from sandpiles.linalg import det_int
 
@@ -79,6 +80,30 @@ def test_topple_with_self_gains_is_order_independent(system, seed):
     thresholds, out, c = system
     expect = naive_topple(thresholds, out, c, random.Random(seed))
     assert _topple(thresholds, out, c) == expect
+
+
+@st.composite
+def grid_fold_systems(draw):
+    """The Klein or D4 fold of a grid up to 8 x 8 and a configuration on it."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    group = draw(st.sampled_from(["klein", "d4"] if rows == cols else ["klein"]))
+    thresholds, out = grid_fold(rows, cols, group)[0]
+    c = draw(st.lists(st.integers(0, 30), min_size=len(thresholds),
+                      max_size=len(thresholds)))
+    return thresholds, out, c
+
+
+@given(st.one_of(firing_systems(), grid_fold_systems()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_topple_from_a_start_below_the_odometer(system, data):
+    # least action: pre-firing any 0 <= u0 <= the odometer, which may
+    # leave negative entries, keeps the stable result, and the firings
+    # that remain are the odometer less u0
+    thresholds, out, c = system
+    stable, odometer = _topple(thresholds, out, c)
+    u0 = [data.draw(st.integers(0, k)) for k in odometer]
+    assert _topple(thresholds, out, _fired(thresholds, out, c, u0)) == (
+        stable, tuple(k - u for k, u in zip(odometer, u0)))
 
 
 def test_topple_refires_a_vertex_that_feeds_itself():

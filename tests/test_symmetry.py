@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -29,13 +30,16 @@ from sandpiles import (
 )
 from sandpiles import checks
 from sandpiles.blocks import grid_parity, parity_blocks
-from sandpiles.engine import _burns, _order, _recurrents, _topple
+from sandpiles.engine import _burns, _identity, _order, _recurrents, _topple, sink_weights
 from sandpiles.errors import SymmetryError
 from sandpiles.formulas import band_reduce, closed_form_count
-from sandpiles.linalg import det_int
+from sandpiles.linalg import det_int, solve_int
 from sandpiles.symmetry import (
+    GUESS_MIN_SIDE,
     _folded_system,
-    sink_weights,
+    _quarter_cells,
+    grid_identity,
+    grid_torsion,
     system_matrix,
 )
 
@@ -517,6 +521,97 @@ IDENTITY_GRIDS = [(1, 1), (1, 6), (1, 7), (6, 1), (7, 1), (2, 2), (2, 3),
 def test_symmetric_identity_matches_unfolded(rows, cols):
     g = grid_sandpile(rows, cols)
     assert symmetric_identity(g, klein_action(rows, cols)) == identity_config(g)
+
+
+def zero_start_identity(rows, cols):
+    """`_identity` on `grid_identity`'s fold with no guess, unfolded."""
+    system, orbit_of = grid_fold(rows, cols, "d4" if rows == cols else "klein")
+    e = _identity(*system)
+    return tuple(e[k] for k in orbit_of)
+
+
+def burns_spy(monkeypatch):
+    """Record the outcome of every burning test `engine` runs."""
+    results = []
+
+    def recording(*args):
+        results.append(_burns(*args))
+        return results[-1]
+
+    monkeypatch.setattr("sandpiles.engine._burns", recording)
+    return results
+
+
+def guessed(rows, cols):
+    return min(rows, cols) >= GUESS_MIN_SIDE
+
+
+@pytest.mark.parametrize("rows", range(1, 31))
+def test_grid_identity_is_the_zero_start_identity(rows, monkeypatch):
+    # one burning test per guessed grid, which passes: no grid falls back
+    burns = burns_spy(monkeypatch)
+    for cols in range(1, 31):
+        assert grid_identity(rows, cols) == zero_start_identity(rows, cols)
+    assert burns == [True] * sum(guessed(rows, cols) for cols in range(1, 31))
+
+
+@pytest.mark.parametrize("rows,cols", [(48, 48), (64, 63), (1, 2000), (2000, 1), (3, 900)])
+def test_grid_identity_is_the_zero_start_identity_on_large_grids(rows, cols, monkeypatch):
+    burns = burns_spy(monkeypatch)
+    assert grid_identity(rows, cols) == zero_start_identity(rows, cols)
+    assert burns == [True] * guessed(rows, cols)
+
+
+@pytest.mark.parametrize("scale,rows,cols,certified", [
+    (0.1, 48, 48, False),  # the start of step 2 overshoots: entries go negative
+    (0.1, 3, 40, False),   # non-negative, but not recurrent
+    (0.5, 20, 13, False),
+    (10, 48, 48, True),    # an overestimate keeps step 2 below the odometer
+])
+def test_grid_identity_falls_back_when_the_guess_is_wrong(scale, rows, cols, certified,
+                                                          monkeypatch):
+    burns = burns_spy(monkeypatch)
+    monkeypatch.setattr("sandpiles.symmetry.grid_torsion", lambda *args: [
+        scale * y for y in grid_torsion(*args)])
+    assert grid_identity(rows, cols) == zero_start_identity(rows, cols)
+    assert (burns == [True]) == certified
+
+
+def test_grid_identity_at_48x48_fires_fewer_than_30000_times(monkeypatch):
+    fired = []
+
+    def recording(thresholds, out, c):
+        stable, fire = _topple(thresholds, out, c)
+        fired.append(sum(fire))
+        return stable, fire
+
+    monkeypatch.setattr("sandpiles.engine._topple", recording)
+    grid_identity(48, 48)
+    assert sum(fired) < 30_000
+    fired.clear()
+    _identity(*grid_fold(48, 48, "d4")[0])
+    assert sum(fired) == 134_844
+
+
+def check_torsion_guess(rows, cols):
+    """`grid_torsion` is within [0, 0.06] above the discrete torsion
+    S^-1 1 of the fold, found by an exact solve."""
+    group = "d4" if rows == cols else "klein"
+    thresholds, out = grid_fold(rows, cols, group)[0]
+    det, y = solve_int(system_matrix(thresholds, out), [1] * len(thresholds))
+    guess = grid_torsion(rows, cols, _quarter_cells(rows, cols, group))
+    assert all(0 <= g - Fraction(v, det) <= 0.06 for g, v in zip(guess, y))
+
+
+@pytest.mark.parametrize("rows", range(1, 21))
+def test_grid_torsion_lies_just_above_the_torsion(rows):
+    for cols in range(1, 21):
+        check_torsion_guess(rows, cols)
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 2000), (2000, 1), (2, 300), (3, 200), (200, 3)])
+def test_grid_torsion_runs_the_parabola_across_the_shorter_side(rows, cols):
+    check_torsion_guess(rows, cols)
 
 
 def test_symmetric_identity_triangle_and_directed(triangle, triangle_swap):
