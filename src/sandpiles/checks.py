@@ -8,6 +8,7 @@ for even x odd grids, the twisted board and the Lu-Wu product) and the
 staircase checks.  Every value is an exact integer or a boolean.
 """
 
+from functools import cache
 from math import gcd
 
 from .blocks import grid_parity, parity_blocks
@@ -83,11 +84,12 @@ def count_methods(rows, cols):
         (thresholds, out), _ = grid_fold(rows, cols, "klein")
         return len(_recurrents(thresholds, out, sink_weights(thresholds, out)))
 
+    closed = cache(lambda: closed_form_count(parity, m, n))  # both forms
     methods = {
         "det": lambda: det_count(rows, cols),
         "enumerate": enumerate_count,
-        "product": lambda: closed_form_count(parity, m, n, "product"),
-        "chebyshev": lambda: closed_form_count(parity, m, n, "chebyshev"),
+        "product": closed,
+        "chebyshev": closed,
         "tilings": lambda: count_matchings(tiling_board(parity, m, n)),
     }
     return parity, m, n, methods

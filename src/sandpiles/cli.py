@@ -51,16 +51,16 @@ def cmd_count_symmetric(args):
 def cmd_count_tilings(args):
     kind = args.board.replace("-", "_")
     board = board_graph(kind, args.rows, args.cols)
-    report = {"board": args.board, "rows": args.rows, "cols": args.cols,
-              "count": count_matchings(board)}
-    if args.enumerate:
+    listed = {}
+    if args.enumerate:  # its cap is far below counting's, so check it first
         matchings = enumerate_matchings(board)
-        report["matchings"] = [
+        listed["matchings"] = [
             {"edges": [[list(u), list(v)] for u, v in edges], "weight": w}
             for edges, w in matchings
         ]
-        report["weight_sum"] = sum(w for _, w in matchings)
-    print(json.dumps(report))
+        listed["weight_sum"] = sum(w for _, w in matchings)
+    print(json.dumps({"board": args.board, "rows": args.rows, "cols": args.cols,
+                      "count": count_matchings(board), **listed}))
     return EXIT_OK
 
 

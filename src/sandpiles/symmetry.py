@@ -16,22 +16,22 @@ Any graph folds through a `GroupAction`, built from its generators: the
 column and row reflections for Klein, and the column reflection and a
 quarter turn for D4.  The grid commands skip that path: `grid_fold`
 builds the Klein or D4 fold of a grid straight from the quarter grid's
-cells, with no unfolded graph and no group.  `grid_identity` runs on
-the D4 fold of a square grid (Klein otherwise) and starts both of its
-stabilizations near their odometers, from `grid_torsion`'s closed-form
-estimate of the fold's torsion S^-1 1.  Counts (`checks.det_count`) and
-element orders (`checks.grid_config_order`) run on the Klein fold S of
-every grid, shooting through S's rows to one small matrix
-(`formulas.band_reduce`).
+cells, with no unfolded graph and no group, and `d_family` reads the
+quotient graphs off the Klein one.  `grid_identity` runs on the D4 fold
+of a square grid (Klein otherwise) and starts both of its stabilizations
+near their odometers, from `grid_torsion`'s closed-form estimate of the
+fold's torsion S^-1 1.  Counts (`checks.det_count`) and element orders
+(`checks.grid_config_order`) run on the Klein fold S of every grid,
+shooting through S's rows to one small matrix (`formulas.band_reduce`).
 """
 
 from itertools import chain
 from math import exp, pi, sin, sqrt
 from operator import mul
 
-from .engine import _identity, _order, _recurrents, burning_config
+from .engine import _identity, _order, _recurrents, burning_config, sink_weights
 from .errors import SymmetryError
-from .graphs import SandpileGraph, grid_sandpile
+from .graphs import SandpileGraph
 
 
 class GroupAction:
@@ -291,8 +291,14 @@ def d_family(kind, m, n):
     matrices of the symmetric-recurrent counts: the 2m x 2n (D),
     2m x (2n-1) (Dprime) or (2m-1) x (2n-1) (Ddoubleprime) grid folded by
     its Klein symmetries, on the orbit representatives (i, j), i <= m,
-    j <= n.  Each off-diagonal entry of the symmetrized Laplacian is an
-    edge and each row sum a sink weight.
+    j <= n.
+
+    The graph is read off the sparse fold `grid_fold`, in O(orbits):
+    the grains that firing orbit v gives orbit w are an edge w -> v of
+    that weight, and each sink weight is w's threshold less the grains
+    it gains (`engine.sink_weights`).  Its reduced Laplacian is the
+    symmetrized Laplacian of `grid_sandpile` under `klein_action`, the
+    generic path that the tests compare it with.
 
     D is undirected (a grid with a weight-2 sink edge at the corner);
     Dprime and Ddoubleprime are directed, with weight-2 edges pointing
@@ -306,12 +312,11 @@ def d_family(kind, m, n):
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
     rows, cols = shapes[kind]
-    grid, action = grid_sandpile(rows, cols), klein_action(rows, cols)
-    labels = [grid.labels[r] for r in action.representatives]
-    sym = symmetrized_laplacian(grid, action)
-    edges = {(u, v): -x for u, row in zip(labels, sym)
-             for v, x in zip(labels, row) if v != u and x}
-    sink = {u: sum(row) for u, row in zip(labels, sym) if sum(row)}
+    (thresholds, out), _ = grid_fold(rows, cols, "klein")
+    labels = [(i + 1, j + 1) for i, j in _quarter_cells(rows, cols, "klein")]
+    edges = {(labels[w], labels[v]): wt for v, gains in enumerate(out)
+             for w, wt in gains.items() if w != v}
+    sink = dict(zip(labels, sink_weights(thresholds, out)))
     return SandpileGraph(labels, edges, sink, undirected=(kind == "D"))
 
 

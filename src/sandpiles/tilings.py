@@ -8,18 +8,20 @@ unit square.  Twisted (wrap-edge) boards sum that count over all seam
 subsets.  K is eliminated once per board, on the cells that no subset
 removes; each seam pass is then a minor of the small Schur block left on
 the wrap ends (Sylvester's identity, `linalg.schur_block`), and a board
-with no wraps is the one pass with an empty block.  Every lattice board,
-twisted or not, is counted only when its estimated work is within
-SEAM_WORK_CAP.  Any other small graph falls
-back to recursive enumeration, the oracle for the determinant in tests.
+with no wraps is the one pass with an empty block.  The passes are the
+leaves of a walk over the wraps: each wrap either stays or is taken,
+and a pass that takes it is its parent pass with the wrap's two end
+cells dropped from the block's rows and columns and its weight
+multiplied in, so no pass rebuilds its cells from the subset.  Every
+lattice board, twisted or not, is counted only when its estimated work
+is within SEAM_WORK_CAP.  Any other small graph falls back to recursive
+enumeration, the oracle for the determinant in tests.
 
 The staircase graph P_n is the 2n x 2n grid folded by its dihedral
 symmetries.  Numbered row-major, L(P_(k-1)) is the leading block of
 L(P_k), so one elimination of L(P_n) reads every a_k off its pivots
 (`a_seq_upto`); `a_seq` is one determinant per n, and the oracle.
 """
-
-from math import prod
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian, p_graph
@@ -35,7 +37,7 @@ ENUM_VERTEX_CAP = 28
 # 2.0e8 and 18x2 3.8e8; the plain 200x200 board is 2.0e9.  A twisted
 # board now costs one elimination plus 2^wraps minors of at most
 # rows x rows, so the estimate is an upper bound there (Mobius 12x12
-# takes about 0.2 s, not 2.4 s); it is kept so that the refusals stay
+# takes 0.08-0.14 s, not 2.4 s); it is kept so that the refusals stay
 # where they are.
 SEAM_PASS_COST = 1000
 SEAM_WORK_CAP = 15 * 10**7
@@ -165,15 +167,17 @@ def count_matchings(board):
         # on the outer face, so the remaining faces stay unit squares.
         ends = {x for edge, _ in wraps for x in edge}
         d, block, black, white = _kasteleyn(board.vertices, unit, ends)
-        total = 0
-        for subset in range(1 << len(wraps)):
-            chosen = [wrap for i, wrap in enumerate(wraps) if subset >> i & 1]
-            removed = {x for edge, _ in chosen for x in edge}
-            weight = prod(w for _, w in chosen)
-            rows = [i for i, v in enumerate(black) if v not in removed]
-            cols = [j for j, v in enumerate(white) if v not in removed]
-            total += weight * _grid_dp(d, block, rows, cols)
-        return total
+
+        def walk(k, weight, rows, cols):
+            # the passes that keep or take each of wraps[:k]
+            if not k:
+                return weight * _grid_dp(d, block, rows, cols)
+            edge, w = wraps[k - 1]
+            return walk(k - 1, weight, rows, cols) + walk(
+                k - 1, weight * w, [i for i in rows if black[i] not in edge],
+                [j for j in cols if white[j] not in edge])
+
+        return walk(len(wraps), 1, range(len(black)), range(len(white)))
     if len(board.vertices) <= ENUM_VERTEX_CAP:
         return sum(w for _, w in enumerate_matchings(board))
     raise SizeCapError("board too large for both counting strategies")

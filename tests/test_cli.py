@@ -79,6 +79,30 @@ def test_count_tilings_enumerate_bytes_are_pinned(capsys, board, rows, cols, dig
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_count_tilings_enumerate_is_refused_before_counting(capsys, monkeypatch):
+    def unused(board):
+        raise AssertionError("the board was counted")
+
+    monkeypatch.setattr("sandpiles.cli.count_matchings", unused)
+    code, out, err = run_cli(capsys, "count-tilings", "--rows", "40",
+                             "--cols", "40", "--enumerate")
+    assert (code, out) == (3, "")
+    assert "cap" in err
+
+
+def test_count_symmetric_all_computes_the_closed_form_once(capsys, monkeypatch):
+    calls = []
+    closed_form_count = checks.closed_form_count
+    monkeypatch.setattr(checks, "closed_form_count",
+                        lambda *args: calls.append(args) or closed_form_count(*args))
+    code, out, _ = run_cli(capsys, "count-symmetric", "--rows", "6",
+                           "--cols", "5", "--method", "all")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values["product"] == values["chebyshev"] == values["det"]
+    assert len(calls) == 1
+
+
 def test_order_all_ones_reports_ratio(capsys):
     code, out, _ = run_cli(capsys, "order", "--rows", "2", "--cols", "2",
                            "--config", "all-ones")
@@ -357,7 +381,7 @@ def test_grid_commands_build_no_unfolded_grid_or_group(capsys, tmp_path, monkeyp
 
     monkeypatch.setattr(GroupAction, "__init__", unused)
     monkeypatch.setattr("sandpiles.checks.grid_sandpile", unused)
-    monkeypatch.setattr("sandpiles.symmetry.grid_sandpile", unused)
+    monkeypatch.setattr("sandpiles.graphs.grid_sandpile", unused)
     for argv in (["order", "--rows", "9", "--cols", "9"],
                  ["order", "--rows", "8", "--cols", "5", "--config", "all-ones"],
                  ["identity", "--rows", "7", "--cols", "7", "--out", str(tmp_path / "a")],

@@ -140,6 +140,41 @@ def test_d_family_laplacian_is_symmetrized_grid(kind, shape, m, n):
     assert reduced_laplacian(d_family(kind, m, n)) == expect
 
 
+def _generic_d_family(kind, m, n):
+    """The dense construction: the symmetrized Laplacian of the whole
+    grid under its Klein group, read as edges and row sums."""
+    from sandpiles import klein_action, symmetrized_laplacian
+
+    rows, cols = {"D": (2 * m, 2 * n), "Dprime": (2 * m, 2 * n - 1),
+                  "Ddoubleprime": (2 * m - 1, 2 * n - 1)}[kind]
+    grid, action = grid_sandpile(rows, cols), klein_action(rows, cols)
+    labels = [grid.labels[r] for r in action.representatives]
+    sym = symmetrized_laplacian(grid, action)
+    edges = {(u, v): -x for u, row in zip(labels, sym)
+             for v, x in zip(labels, row) if v != u and x}
+    sink = {u: sum(row) for u, row in zip(labels, sym) if sum(row)}
+    return SandpileGraph(labels, edges, sink, undirected=(kind == "D"))
+
+
+@pytest.mark.parametrize("kind", ["D", "Dprime", "Ddoubleprime"])
+def test_d_family_equals_the_generic_fold(kind):
+    for m in range(1, 9):
+        for n in range(1, 9):
+            g, want = d_family(kind, m, n), _generic_d_family(kind, m, n)
+            assert (g.labels, g.out, g.sink_weight, g.undirected) == (
+                want.labels, want.out, want.sink_weight, want.undirected)
+
+
+def test_d_family_builds_no_group_and_no_dense_fold(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the generic fold was built")
+
+    for name in ("klein_action", "GroupAction", "symmetrized_laplacian",
+                 "system_matrix"):
+        monkeypatch.setattr(f"sandpiles.symmetry.{name}", unused)
+    assert d_family("D", 30, 30).vertex_count == 900
+
+
 def test_d_family_directed_weight_two_edges():
     g = d_family("Dprime", 2, 3)
     # middle-column fold: weight 2 back toward the sink side, weight 1 out

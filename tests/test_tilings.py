@@ -163,6 +163,32 @@ def test_mobius_board_is_eliminated_once(monkeypatch):
     assert max(dims) <= 8
 
 
+def _weighted_wrap_board():
+    """The 4 x 3 grid with unit weights 1-2 and three wraps of weights
+    2, 3 and 1."""
+    cells = [(r, c) for r in range(1, 5) for c in range(1, 4)]
+    edges = {(u, v): 1 + (u[0] + v[1]) % 2 for u in cells for v in cells
+             if u < v and abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1}
+    edges.update({((1, 1), (4, 3)): 2, ((2, 1), (3, 3)): 3, ((2, 3), (3, 1)): 1})
+    return MatchGraph(cells, edges)
+
+
+@pytest.mark.parametrize("board,wraps", [
+    (board_graph("mobius", 4, 4), 4), (board_graph("mobius", 6, 4), 6),
+    (board_graph("mobius", 3, 4), 3), (_weighted_wrap_board(), 3)])
+def test_each_wrap_subset_is_one_pass(monkeypatch, board, wraps):
+    # the benchmark counts one `_grid_dp` call per subset of the wraps,
+    # so the walk over the wraps prunes no pass
+    passes = []
+    grid_dp = tilings._grid_dp
+    monkeypatch.setattr(tilings, "_grid_dp",
+                        lambda *args: passes.append(1) or grid_dp(*args))
+    total = count_matchings(board)
+    assert len(passes) == 2**wraps
+    assert total == sum(w for _, w in enumerate_matchings(board))
+    assert total
+
+
 def test_disconnected_board_with_an_octagonal_face():
     # A ring around a missing centre has one face of length 8, where the
     # Kasteleyn signs fail; the separate domino makes E - V + 1 equal the
