@@ -32,7 +32,6 @@ from .symmetry import (
     GroupAction,
     klein_action,
     dihedral_action,
-    grid_action,
     grid_fold,
     d_family,
     symmetrized_laplacian,

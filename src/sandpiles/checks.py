@@ -17,6 +17,7 @@ from .formulas import band_reduce, block_tridiag_det, closed_form_count
 from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
 from .linalg import det_int
 from .symmetry import (
+    _system_rows,
     grid_fold,
     klein_action,
     symmetrized_laplacian,
@@ -38,11 +39,7 @@ def _klein_rows(rows, cols):
     row, give S the band and -1 couplings that `band_reduce` takes."""
     if cols > rows:
         rows, cols = cols, rows
-    (thresholds, out), _ = grid_fold(rows, cols, "klein")
-    band = [{w: t} for w, t in enumerate(thresholds)]
-    for v, gains in enumerate(out):
-        for w, wt in gains.items():
-            band[w][v] = band[w].get(v, 0) - wt
+    band = _system_rows(*grid_fold(rows, cols, "klein")[0])
     return [list(row.items()) for row in band], (cols + 1) // 2
 
 
@@ -96,12 +93,12 @@ def count_methods(rows, cols):
 
 
 def _grid_row(rows, cols):
-    parity, m, n, _ = grid_parity(rows, cols)
-    closed = closed_form_count(parity, m, n)  # the product and Chebyshev forms
-    values = {"det": det_count(rows, cols),
+    parity, m, n, methods = count_methods(rows, cols)
+    closed = methods["product"]()  # the product and Chebyshev forms
+    values = {"det": methods["det"](),
               "block": block_tridiag_det(*parity_blocks(parity, n), m),
               "product": closed, "chebyshev": closed,
-              "tilings": count_matchings(tiling_board(parity, m, n))}
+              "tilings": methods["tilings"]()}
     if parity == "even_odd":
         values["mobius"] = count_matchings(board_graph("mobius", 2 * m, 2 * n))
         values["lu_wu"] = closed  # Lu-Wu's product is the even_odd closed form
@@ -163,8 +160,10 @@ def verify_rows(max_m, max_n):
 
 
 def row_agrees(row):
-    """A grid row agrees when all its counts are equal, a staircase row
-    when all its boolean checks hold."""
+    """A staircase row agrees when all its boolean checks hold, any other
+    row when it has at least two counts and all are equal; an error
+    string in place of a count is not a count."""
     if row["kind"] == "staircase":
         return all(v for v in row["values"].values() if isinstance(v, bool))
-    return len(set(row["values"].values())) == 1
+    counts = [v for v in row["values"].values() if isinstance(v, int)]
+    return len(counts) >= 2 and len(set(counts)) == 1

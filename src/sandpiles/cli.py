@@ -41,8 +41,7 @@ def cmd_count_symmetric(args):
         except SizeCapError as exc:
             print(f"method {name} failed: {exc}", file=sys.stderr)
             values[name] = f"error: {exc}"
-    numeric = [v for v in values.values() if isinstance(v, int)]
-    agree = len(set(numeric)) == 1
+    agree = checks.row_agrees({"kind": parity, "values": values})
     print(json.dumps({"rows": args.rows, "cols": args.cols, "parity": parity,
                       "m": m, "n": n, "values": values, "agree": agree}))
     return EXIT_OK if agree else EXIT_DISAGREE
@@ -124,35 +123,33 @@ def build_parser():
         description="Sandpile-group counts on grid graphs, with "
                     "domino-tiling and Chebyshev cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--rows", type=int, required=True)
+    grid.add_argument("--cols", type=int, required=True)
 
-    p = sub.add_parser("count-symmetric",
+    p = sub.add_parser("count-symmetric", parents=[grid],
                        help="count symmetric recurrent configurations")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
     p.add_argument("--method", default="det",
                    choices=["det", "enumerate", "product", "chebyshev",
                             "tilings", "all"])
     p.set_defaults(fn=cmd_count_symmetric)
 
-    p = sub.add_parser("count-tilings", help="count weighted domino tilings")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
+    p = sub.add_parser("count-tilings", parents=[grid],
+                       help="count weighted domino tilings")
     p.add_argument("--board", default="plain",
                    choices=["plain", "mobius", "mobius-weighted",
                             "two-weighted"])
     p.add_argument("--enumerate", action="store_true")
     p.set_defaults(fn=cmd_count_tilings)
 
-    p = sub.add_parser("order", help="order of a constant configuration")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
+    p = sub.add_parser("order", parents=[grid],
+                       help="order of a constant configuration")
     p.add_argument("--config", default="all-twos",
                    choices=["all-ones", "all-twos"])
     p.set_defaults(fn=cmd_order)
 
-    p = sub.add_parser("identity", help="render the group identity")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
+    p = sub.add_parser("identity", parents=[grid],
+                       help="render the group identity")
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="pgm", choices=["pgm", "json"])
     p.set_defaults(fn=cmd_identity)

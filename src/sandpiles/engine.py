@@ -176,20 +176,19 @@ def _identity(thresholds, out, tau=None):
     by least action.  tau is a float, so that result is kept only if it
     is non-negative and passes one burning test, since e is the only
     recurrent configuration in the class of 0; otherwise x is stabilized
-    from zero.  Without tau, both stabilizations start from zero.
+    from zero.  Without tau, step 1 is the same with v0 = 0, and x is
+    stabilized from zero as in that fallback.
     """
     twice = [2 * (t - 1) for t in thresholds]
-    if tau is None:
-        stab = _topple(thresholds, out, twice)[0]
-        return _topple(thresholds, out, [t - s for t, s in zip(twice, stab)])[0]
-    v0 = [floor(FIRST_START * y) for y in tau]
+    v0 = [0] * len(twice) if tau is None else [floor(FIRST_START * y) for y in tau]
     stab, fire = _topple(thresholds, out, _fired(thresholds, out, twice, v0))
     x = [t - s for t, s in zip(twice, stab)]
-    top = max(thresholds) - 1
-    u2 = [max(0, floor(v + f - top * y) - 1) for v, f, y in zip(v0, fire, tau)]
-    e = _topple(thresholds, out, _fired(thresholds, out, x, u2))[0]
-    if min(e) >= 0 and _burns(thresholds, out, e, sink_weights(thresholds, out)):
-        return e
+    if tau is not None:
+        top = max(thresholds) - 1
+        u2 = [max(0, floor(v + f - top * y) - 1) for v, f, y in zip(v0, fire, tau)]
+        e = _topple(thresholds, out, _fired(thresholds, out, x, u2))[0]
+        if min(e) >= 0 and _burns(thresholds, out, e, sink_weights(thresholds, out)):
+            return e
     return _topple(thresholds, out, x)[0]
 
 

@@ -16,11 +16,14 @@ Any graph folds through a `GroupAction`, built from its generators: the
 column and row reflections for Klein, and the column reflection and a
 quarter turn for D4.  The grid commands skip that path: `grid_fold`
 builds the Klein or D4 fold of a grid straight from the quarter grid's
-cells, with no unfolded graph and no group, and `d_family` reads the
-quotient graphs off the Klein one.  `grid_identity` runs on the D4 fold
-of a square grid (Klein otherwise) and starts both of its stabilizations
-near their odometers, from `grid_torsion`'s closed-form estimate of the
-fold's torsion S^-1 1.  Counts (`checks.det_count`) and element orders
+cells, with no unfolded graph and no group, and returns it with its
+orbit map, which gives any cell's orbit index in O(1) and stores no
+per-cell list.  `d_family` reads the quotient graphs off the Klein fold.
+`grid_identity` runs on the D4 fold of a square grid (Klein otherwise),
+starts both of its stabilizations near their odometers, from
+`grid_torsion`'s closed-form estimate of the fold's torsion S^-1 1, and
+unfolds the result through the orbit map, as `tilings.pn_embed` unfolds
+a staircase configuration.  Counts (`checks.det_count`) and element orders
 (`checks.grid_config_order`) run on the Klein fold S of every grid,
 shooting through S's rows to one small matrix (`formulas.band_reduce`).
 """
@@ -115,13 +118,6 @@ def dihedral_action(n):
     return GroupAction([chain(*flip), chain(*zip(*flip))])
 
 
-def grid_action(rows, cols):
-    """The group `grid_identity` folds by: D4 on a square grid, the
-    Klein four-group otherwise.  Counts and element orders run on the
-    Klein fold of every grid (`checks`)."""
-    return dihedral_action(rows) if rows == cols else klein_action(rows, cols)
-
-
 def _folded_system(g, action):
     """The firing system on orbits: (thresholds, out) with
     thresholds[Gw] = out_degree[w] and out[Gv][Gw] the weight of the
@@ -154,22 +150,30 @@ def symmetrized_laplacian(g, action):
     return system_matrix(*_folded_system(g, action))
 
 
+def _system_rows(thresholds, out):
+    """The rows of a folded system's matrix, row w as {column v: entry}:
+    thresholds on the diagonal, and -out[v][w] in row w, column v."""
+    rows = [{w: t} for w, t in enumerate(thresholds)]
+    for v, gains in enumerate(out):
+        for w, wt in gains.items():
+            rows[w][v] = rows[w].get(v, 0) - wt
+    return rows
+
+
 def system_matrix(thresholds, out):
-    """The matrix of a folded system: thresholds on the diagonal, and
-    -out[v][w] in row w, column v."""
+    """The matrix of a folded system, `_system_rows` made dense."""
     sym = [[0] * len(thresholds) for _ in thresholds]
-    for col, gains in enumerate(out):
-        sym[col][col] += thresholds[col]
-        for row, wt in gains.items():
-            sym[row][col] -= wt
+    for w, row in enumerate(_system_rows(thresholds, out)):
+        for v, x in row.items():
+            sym[w][v] = x
     return sym
 
 
 def grid_fold(rows, cols, group):
     """The folded system (thresholds, out) of the rows x cols grid under
-    `group`, "klein" or "d4" (square grids only), and orbit_of, the
-    orbit index of every cell in row-major order; equal to
-    `_folded_system` and `orbit_of` of `klein_action` or
+    `group`, "klein" or "d4" (square grids only), and the orbit map:
+    orbit(i, j) is the orbit index of the cell (i, j), 0-based.  Equal
+    to `_folded_system` and `orbit_of` of `klein_action` or
     `dihedral_action` on `grid_sandpile`, built from the lattice alone.
 
     The representatives are the quarter grid's cells (i, j), 0-based,
@@ -203,8 +207,7 @@ def grid_fold(rows, cols, group):
             if 0 <= u[0] < rows and 0 <= u[1] < cols:
                 gains = out[orbit(*u)]
                 gains[k] = gains.get(k, 0) + 1
-    orbit_of = [orbit(i, j) for i in range(rows) for j in range(cols)]
-    return ([4] * len(reps), out), orbit_of
+    return ([4] * len(reps), out), orbit
 
 
 def _quarter_cells(rows, cols, group):
@@ -272,18 +275,20 @@ GUESS_MIN_SIDE = 3
 
 def grid_identity(rows, cols):
     """The identity of the rows x cols grid, as `symmetric_identity` on
-    `grid_action`'s fold (D4 folds by 8, which saves toppling work).
+    the D4 fold of a square grid and the Klein fold of any other (D4
+    folds by 8, which saves toppling work), unfolded through the orbit
+    map of `grid_fold`.
 
     From a shorter side of GUESS_MIN_SIDE on, both stabilizations start
     from `grid_torsion`'s guess at the odometer, certified by one
     burning test (`engine._identity`)."""
     group = "d4" if rows == cols else "klein"
-    system, orbit_of = grid_fold(rows, cols, group)
+    system, orbit = grid_fold(rows, cols, group)
     tau = None
     if min(rows, cols) >= GUESS_MIN_SIDE:
         tau = grid_torsion(rows, cols, _quarter_cells(rows, cols, group))
     e = _identity(*system, tau)
-    return tuple(e[k] for k in orbit_of)
+    return tuple(e[orbit(i, j)] for i in range(rows) for j in range(cols))
 
 
 def d_family(kind, m, n):

@@ -26,7 +26,7 @@ L(P_k), so one elimination of L(P_n) reads every a_k off its pivots
 from .errors import SizeCapError
 from .graphs import reduced_laplacian, p_graph
 from .linalg import det_int, leading_minors, schur_block
-from .symmetry import dihedral_action, unfold
+from .symmetry import grid_fold
 
 ENUM_VERTEX_CAP = 28
 # The estimate charges a board 2^wraps full determinants, one on a plain
@@ -35,10 +35,10 @@ ENUM_VERTEX_CAP = 28
 # plus a fixed SEAM_PASS_COST for the cell list; one unit is about 30 ns
 # (Python 3.11, one 2-core VM).  The Mobius 12x12 board is 1.1e8, 16x4 is
 # 2.0e8 and 18x2 3.8e8; the plain 200x200 board is 2.0e9.  A twisted
-# board now costs one elimination plus 2^wraps minors of at most
+# board costs one elimination plus 2^wraps minors of at most
 # rows x rows, so the estimate is an upper bound there (Mobius 12x12
-# takes 0.08-0.14 s, not 2.4 s); it is kept so that the refusals stay
-# where they are.
+# takes 0.08-0.14 s); it is kept so that the refusals stay where they
+# are.
 SEAM_PASS_COST = 1000
 SEAM_WORK_CAP = 15 * 10**7
 
@@ -178,9 +178,7 @@ def count_matchings(board):
                 [j for j in cols if white[j] not in edge])
 
         return walk(len(wraps), 1, range(len(black)), range(len(white)))
-    if len(board.vertices) <= ENUM_VERTEX_CAP:
-        return sum(w for _, w in enumerate_matchings(board))
-    raise SizeCapError("board too large for both counting strategies")
+    return sum(w for _, w in enumerate_matchings(board))
 
 
 def enumerate_matchings(board):
@@ -248,9 +246,13 @@ def diagonal_config(n):
 
 def pn_embed(n, c):
     """Unfold a staircase configuration into a dihedrally symmetric
-    configuration on the 2n x 2n grid.
+    configuration on the 2n x 2n grid, through the orbit map of its D4
+    fold (`grid_fold`).
 
     P_n's vertices, numbered row-major, are the grid's D4 orbit
     representatives in reverse order: vertex (i, j) stands for the cell
     (n + 1 - i, n + 1 - j) and its orbit."""
-    return unfold(dihedral_action(2 * n), tuple(reversed(c)))
+    (thresholds, _), orbit = grid_fold(2 * n, 2 * n, "d4")
+    if len(c) != len(thresholds):
+        raise ValueError("staircase configuration has wrong length")
+    return tuple(c[-1 - orbit(i, j)] for i in range(2 * n) for j in range(2 * n))

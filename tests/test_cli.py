@@ -8,9 +8,10 @@ from sandpiles import (
     GroupAction,
     board_graph,
     count_matchings,
-    grid_action,
+    dihedral_action,
     grid_sandpile,
     identity_config,
+    klein_action,
     symmetric_config_order,
     symmetric_identity,
 )
@@ -345,6 +346,42 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("count-symmetric", []), ("count-tilings", []), ("order", []),
+    ("identity", ["--out", "unused.pgm"])])
+def test_grid_commands_require_cols(capsys, command, extra):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--rows", "4", *extra])
+    assert exc.value.code == 2
+    assert "--cols" in capsys.readouterr().err
+
+
+def test_all_methods_agree_only_when_two_count(capsys, monkeypatch):
+    # with every cap but det's lowered, 6 x 6 has one count: no agreement
+    monkeypatch.setenv("SANDPILE_ENUM_CAP", "5")
+    monkeypatch.setattr("sandpiles.formulas.SYLVESTER_DIM_CAP", 2)
+    monkeypatch.setattr("sandpiles.tilings.SEAM_WORK_CAP", 10)
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "6",
+                             "--cols", "6", "--method", "all")
+    report = json.loads(out)
+    assert (code, report["agree"]) == (1, False)
+    assert [k for k, v in report["values"].items() if isinstance(v, int)] == ["det"]
+    for name in ("enumerate", "product", "chebyshev", "tilings"):
+        assert f"method {name} failed" in err
+    # with the caps restored, every method counts 5 x 5, and all agree
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "count-symmetric", "--rows", "5",
+                           "--cols", "5", "--method", "all")
+    assert (code, json.loads(out)["agree"]) == (0, True)
+
+
+def test_row_agrees_needs_two_equal_counts():
+    assert not checks.row_agrees({"kind": "even_even", "values": {"det": 36}})
+    # an error string is not a count
+    assert checks.row_agrees({"kind": "even_even", "values": {
+        "det": 36, "tilings": "error: work exceeds the cap", "product": 36}})
+
+
 def test_size_cap_exit_code(capsys, monkeypatch):
     def unused(*args):
         raise AssertionError("a burning test ran")
@@ -359,7 +396,8 @@ def test_size_cap_exit_code(capsys, monkeypatch):
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (8, 8), (9, 9), (10, 7), (7, 12)])
 def test_order_and_identity_are_the_generic_folds(capsys, tmp_path, rows, cols):
-    g, action = grid_sandpile(rows, cols), grid_action(rows, cols)
+    g = grid_sandpile(rows, cols)
+    action = dihedral_action(rows) if rows == cols else klein_action(rows, cols)
     for config, fill in (("all-ones", 1), ("all-twos", 2)):
         code, out, _ = run_cli(capsys, "order", "--rows", str(rows), "--cols", str(cols),
                                "--config", config)

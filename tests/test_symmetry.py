@@ -15,7 +15,6 @@ from sandpiles import (
     enumerate_recurrents,
     enumerate_symmetric_recurrents,
     fold,
-    grid_action,
     grid_fold,
     grid_sandpile,
     identity_config,
@@ -122,11 +121,6 @@ def test_dihedral_action_sizes(n):
     assert len(act.elements) == (8 if n >= 2 else 1)
     assert len(act.generators) == 2
     act.validate_weights(grid_sandpile(n, n))
-
-
-def test_grid_action_picks_dihedral_on_square_grids():
-    assert grid_action(6, 6).elements == dihedral_action(6).elements
-    assert grid_action(6, 5).elements == klein_action(6, 5).elements
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 32, 33])
@@ -384,9 +378,10 @@ def test_grid_fold_is_the_generic_fold(rows):
         if rows == cols:
             actions["d4"] = dihedral_action(rows)
         for group, action in actions.items():
-            (thresholds, out), orbit_of = grid_fold(rows, cols, group)
+            (thresholds, out), orbit = grid_fold(rows, cols, group)
             assert (thresholds, out) == tuple(_folded_system(g, action))
-            assert orbit_of == action.orbit_of
+            assert [orbit(i, j) for i in range(rows)
+                    for j in range(cols)] == action.orbit_of
             assert tuple(sink_weights(thresholds, out)) == fold(action, burning_config(g))
 
 
@@ -401,7 +396,8 @@ def test_grid_fold_refuses_other_groups_and_shapes():
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (3, 3), (4, 5), (6, 6), (7, 4)])
 def test_system_matrix_is_the_symmetrized_laplacian(rows, cols):
-    g, action = grid_sandpile(rows, cols), grid_action(rows, cols)
+    g = grid_sandpile(rows, cols)
+    action = dihedral_action(rows) if rows == cols else klein_action(rows, cols)
     group = "d4" if rows == cols else "klein"
     assert (system_matrix(*grid_fold(rows, cols, group)[0])
             == symmetrized_laplacian(g, action) == dense_symmetrized_laplacian(g, action))
@@ -525,9 +521,9 @@ def test_symmetric_identity_matches_unfolded(rows, cols):
 
 def zero_start_identity(rows, cols):
     """`_identity` on `grid_identity`'s fold with no guess, unfolded."""
-    system, orbit_of = grid_fold(rows, cols, "d4" if rows == cols else "klein")
+    system, orbit = grid_fold(rows, cols, "d4" if rows == cols else "klein")
     e = _identity(*system)
-    return tuple(e[k] for k in orbit_of)
+    return tuple(e[orbit(i, j)] for i in range(rows) for j in range(cols))
 
 
 def burns_spy(monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from sandpiles import (
     a_seq,
+    dihedral_action,
     a_seq_upto,
     board_graph,
     count_matchings,
@@ -17,6 +18,7 @@ from sandpiles import (
     pn_embed,
     reduced_laplacian,
     spanning_tree_weight_sum,
+    unfold,
 )
 from sandpiles import checks, tilings
 from sandpiles.errors import SizeCapError
@@ -248,6 +250,15 @@ def test_non_grid_falls_back_to_enumeration():
     assert count_matchings(broken) == 1
 
 
+def test_large_non_grid_is_refused_by_the_enumeration_cap():
+    # a diagonal edge takes the 6 x 5 board off the lattice: 30 vertices
+    b = board_graph("plain", 6, 5)
+    diagonal = MatchGraph(b.vertices, {**b.edges, ((1, 1), (2, 2)): 1})
+    assert len(diagonal.vertices) > tilings.ENUM_VERTEX_CAP
+    with pytest.raises(SizeCapError, match="enumeration capped at 28 vertices"):
+        count_matchings(diagonal)
+
+
 def test_spanning_trees_match_determinant():
     for g in [grid_sandpile(2, 2), grid_sandpile(2, 3), grid_sandpile(3, 3),
               p_graph(2), p_graph(3)]:
@@ -340,6 +351,12 @@ def test_pn_embed_folds_each_cell_into_the_staircase(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_staircase_is_the_dihedral_fold(n):
     assert checks._phi_check(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pn_embed_is_the_dihedral_unfold(n):
+    c = tuple(range(p_graph(n).vertex_count))
+    assert pn_embed(n, c) == unfold(dihedral_action(2 * n), tuple(reversed(c)))
 
 
 def test_pn_embed_rejects_wrong_length():
