@@ -74,9 +74,11 @@ def count_methods(rows, cols):
     parity, m, n, _ = grid_parity(rows, cols)
 
     def enumerate_count():
-        # the up-set search of `enumerate_symmetric_recurrents`, counted
-        # on the Klein fold without unfolding its results; its box, 4 per
-        # orbit, is checked before the fold is built
+        # the up-set search of `enumerate_symmetric_recurrents`, one Dhar
+        # burning pass per search node on the (undirected) grid's Klein
+        # fold, the values above each floor untested since recurrents are
+        # an up-set; counted without unfolding, its box, 4 per orbit,
+        # checked before the fold is built
         _check_box([4] * (((rows + 1) // 2) * ((cols + 1) // 2)))
         (thresholds, out), _ = grid_fold(rows, cols, "klein")
         return len(_recurrents(thresholds, out, sink_weights(thresholds, out)))

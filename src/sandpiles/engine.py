@@ -11,6 +11,14 @@ torsion S^-1 1 (S the system's firing matrix), `_identity` starts each
 one pre-fired near its odometer, so toppling only finishes the
 avalanche, and keeps the result only if one burning test certifies it;
 `symmetry.grid_identity` passes such an estimate for grids.
+
+Recurrents are listed by a search over the stable box that makes one
+pass of Dhar's burning per search node (`_floor`), valid on undirected
+systems and their folds only: each pass gives the least value of the
+next coordinate that still burns, and the values above it are taken
+untested, since recurrents form an up-set.  The burning test `_burns`
+stays on `_topple`, for `is_recurrent`, the identity's certificate and
+the tests' oracle.
 """
 
 import os
@@ -102,44 +110,88 @@ def _check_box(thresholds):
                                f"exceeds cap {cap}")
 
 
+def _floor(thresholds, out, c, beta, j):
+    """The least value of c[j] at which c is recurrent, or None if no
+    value below thresholds[j] is, from one pass of Dhar's burning on
+    c + beta; c[j] itself is not read.  Undirected systems and their
+    folds only: there the pass is the burning test.
+
+    A vertex burns once, when its grains reach its threshold, and then
+    gives out[v][w] to each w.  j is held back: with F the set that
+    burns without it, j burns against F from c[j] = max(0, t_j - beta_j
+    - sum over w in F of out[w][j]) on, and the burning spreads the same
+    way from every such value, so that floor is returned if every vertex
+    burns once j has.  A fold's self-gain out[v][v] (the grains of v's
+    orbit mates) reaches v only after v burns, since the whole orbit
+    fires at once.
+    """
+    grains = [x + b for x, b in zip(c, beta)]
+    grains[j] = beta[j]
+    burnt = [a >= t for a, t in zip(grains, thresholds)]
+    burnt[j] = False
+    ready = [v for v, b in enumerate(burnt) if b]
+    burnt[j] = True  # held back until F stops growing
+    floor = None
+    while True:
+        while ready:
+            for w, wt in out[ready.pop()].items():
+                grains[w] += wt
+                if not burnt[w] and grains[w] >= thresholds[w]:
+                    burnt[w] = True
+                    ready.append(w)
+        if floor is not None:
+            return floor if all(burnt) else None
+        floor = max(0, thresholds[j] - grains[j])
+        if floor >= thresholds[j]:
+            return None
+        ready.append(j)
+
+
 def _recurrents(thresholds, out, beta):
     """Every configuration of the stable box (0 <= c_v < thresholds[v])
-    that passes the burning test, in lexicographic order.
+    that passes the burning test, in lexicographic order.  Undirected
+    systems and their folds only, as for `_floor`.
 
     Recurrents form an up-set of the box (Dhar): a stable configuration
     >= a recurrent one is recurrent.  So a prefix has a recurrent
     completion iff it burns with every later coordinate at its maximum
-    t - 1, and along one coordinate the values that burn form a top
-    interval.  The walk lowers each coordinate from t - 1 until the next
-    value fails, emits c, then raises the last coordinate below its
-    maximum and resets the later ones.  Each result has passed its own
-    test, and k coordinates and R results take at most k*R + 1 tests:
-    each success is a distinct search node, whose scan fails at most once.
-    `SANDPILE_ENUM_CAP` bounds the box, checked before any test
+    t - 1, and the values of the next coordinate that keep one form the
+    top interval [floor, t - 1] that one `_floor` pass gives.  The walk
+    fixes the coordinates from last to first, one pass per search node,
+    and emits the first coordinate's whole top interval with no further
+    pass, untested: every value above a burning one burns too.  Grids
+    and their folds number vertices row by row from the corner, so the
+    corner row, which burning reaches first and where the top intervals
+    are widest, lies deepest.  Every node below the root has a result
+    below it, so k coordinates and R results take at most k*R + 1
+    passes.  `SANDPILE_ENUM_CAP` bounds the box, checked before any pass
     (`_check_box`).
     """
     _check_box(thresholds)
+    if not thresholds:
+        return [()]  # the empty configuration burns vacuously
     top = [t - 1 for t in thresholds]
-    c = list(top)
-    if not _burns(thresholds, out, c, beta):
-        return []
-    found, j = [], 0
-    while True:
-        for j in range(j, len(c)):
-            while c[j] > 0:
-                c[j] -= 1
-                if not _burns(thresholds, out, c, beta):
-                    c[j] += 1
-                    break
-        found.append(tuple(c))
-        j = len(c) - 1
-        while j >= 0 and c[j] == top[j]:
-            j -= 1
-        if j < 0:
-            return found
-        c[j] += 1
-        c[j + 1:] = top[j + 1:]
-        j += 1
+    c, found, stack = list(top), [], []
+
+    def expand(j):
+        # c[:j + 1] is at its top; c[j + 1:] is the node's suffix
+        floor = _floor(thresholds, out, c, beta, j)
+        if floor is None:
+            return
+        if j:
+            stack.extend((j, x) for x in range(floor, thresholds[j]))
+        else:
+            rest = c[1:]
+            found.extend((x, *rest) for x in range(floor, thresholds[0]))
+
+    expand(len(c) - 1)
+    while stack:
+        j, x = stack.pop()
+        c[j] = x
+        c[:j] = top[:j]
+        expand(j - 1)
+    found.sort()
+    return found
 
 
 def _fired(thresholds, out, c, u):
@@ -231,10 +283,12 @@ def identity_config(g):
 
 def enumerate_recurrents(g):
     """All recurrent configurations, in lexicographic order, by the
-    up-set search of `_recurrents`: its burning tests number at most
-    k*R + 1 for k vertices and R recurrents, not one per stable
-    configuration, and `SANDPILE_ENUM_CAP` bounds the number of stable
-    configurations.  Directed graphs are refused, as by `is_recurrent`."""
+    up-set search of `_recurrents`: one Dhar burning pass per search
+    node, at most k*R + 1 for k vertices and R recurrents, the values
+    above each pass's floor taken untested since recurrents form an
+    up-set; `SANDPILE_ENUM_CAP` bounds the number of stable
+    configurations.  The passes hold on undirected graphs only, so
+    directed ones are refused, as by `is_recurrent`."""
     return _recurrents(g.out_degree, g.out, burning_config(g))
 
 
@@ -242,9 +296,40 @@ def config_order(g, c):
     """Least k >= 1 with k*c in the lattice the firings span.
 
     Firing v subtracts row v of the reduced Laplacian L, so that lattice
-    is L^T Z^n (L^T = L on undirected graphs).
+    is L^T Z^n (L^T = L on undirected graphs).  Solved in the numbering
+    of `_breadth_first`.
     """
-    return _order(list(zip(*reduced_laplacian(g))), c)
+    return _order(*_breadth_first(list(zip(*reduced_laplacian(g))), c))
+
+
+def _breadth_first(m, c):
+    """The square matrix m and the vector c with the unknowns renumbered
+    breadth-first from 0 over m's nonzeros, read both ways (Cuthill-McKee
+    without its degree sort: neighbours by index, and each further
+    component from its least index).  Every nonzero then joins two
+    adjacent levels, so a grid gets the band of its shorter side however
+    it is numbered.  Permuting rows, columns and c together keeps c's
+    order against m.
+    """
+    n = len(m)
+    nbrs = [set() for _ in range(n)]
+    for i, row in enumerate(m):
+        for k, x in enumerate(row):
+            if x and k != i:
+                nbrs[i].add(k)
+                nbrs[k].add(i)
+    seen, perm, done = [False] * n, [], 0
+    for start in range(n):
+        if not seen[start]:
+            seen[start] = True
+            perm.append(start)
+        while done < len(perm):
+            for w in sorted(nbrs[perm[done]]):
+                if not seen[w]:
+                    seen[w] = True
+                    perm.append(w)
+            done += 1
+    return [[m[i][k] for k in perm] for i in perm], [c[i] for i in perm]
 
 
 def _order(m, c):

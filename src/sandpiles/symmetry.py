@@ -32,7 +32,14 @@ from itertools import chain
 from math import exp, pi, sin, sqrt
 from operator import mul
 
-from .engine import _identity, _order, _recurrents, burning_config, sink_weights
+from .engine import (
+    _breadth_first,
+    _identity,
+    _order,
+    _recurrents,
+    burning_config,
+    sink_weights,
+)
 from .errors import SymmetryError
 from .graphs import SandpileGraph
 
@@ -334,10 +341,12 @@ def symmetric_config_order(g, action, c):
     the action, so x = L^-T c is fixed by it, and L^T x = c folds to
     S z = fold(c) with x = unfold(z) and S the symmetrized Laplacian,
     which is the fold of L^T; this holds on directed graphs too.  So the
-    order is that of fold(c) against S (`engine._order`).  Raises
+    order is that of fold(c) against S (`engine._order`), solved in the
+    numbering of `engine._breadth_first`, since the orbits' own
+    numbering lays a wide grid's band along its long side.  Raises
     SymmetryError if c is not symmetric.
     """
-    return _order(symmetrized_laplacian(g, action), fold(action, c))
+    return _order(*_breadth_first(symmetrized_laplacian(g, action), fold(action, c)))
 
 
 def fold(action, c):
@@ -373,10 +382,12 @@ def enumerate_symmetric_recurrents(g, action):
     lexicographic order of their orbit vectors.
 
     Runs the up-set search `engine._recurrents` on the folded (orbit)
-    system, so its burning tests number at most k*R + 1 for k orbits
-    and R results, and `SANDPILE_ENUM_CAP` bounds the box, the number of
-    symmetric stable configurations.  Like `engine.is_recurrent`,
-    refuses directed graphs.
+    system: one Dhar burning pass per search node, at most k*R + 1 for
+    k orbits and R results, the values above each pass's floor taken
+    untested since recurrents form an up-set.  `SANDPILE_ENUM_CAP`
+    bounds the box, the number of symmetric stable configurations.  The
+    passes hold on folds of undirected graphs only, so, like
+    `engine.is_recurrent`, it refuses directed graphs.
     """
     thresholds, out = _folded_system(g, action)
     beta = fold(action, burning_config(g))

@@ -388,6 +388,7 @@ def test_size_cap_exit_code(capsys, monkeypatch):
 
     monkeypatch.setenv("SANDPILE_ENUM_CAP", "5")
     monkeypatch.setattr("sandpiles.engine._burns", unused)
+    monkeypatch.setattr("sandpiles.engine._floor", unused)
     code, _, err = run_cli(capsys, "count-symmetric", "--rows", "6",
                            "--cols", "6", "--method", "enumerate")
     assert code == 3

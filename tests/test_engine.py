@@ -20,7 +20,15 @@ from sandpiles import (
     stabilize,
     stable_add,
 )
-from sandpiles.engine import _fired, _recurrents, _topple, is_stable
+from sandpiles.engine import (
+    _burns,
+    _fired,
+    _floor,
+    _recurrents,
+    _topple,
+    is_stable,
+    sink_weights,
+)
 from sandpiles.errors import SizeCapError
 from sandpiles.linalg import det_int
 
@@ -157,6 +165,51 @@ def test_up_set_search_matches_the_filter(g):
     assert len(found) == det_int(reduced_laplacian(g))
 
 
+# The Klein and D4 folds of the grids up to 4 x 4, and the triangle's
+# u <-> v fold, whose orbit feeds its own representative
+BURNING_FOLDS = ([grid_fold(rows, cols, "klein")[0]
+                  for rows in range(1, 5) for cols in range(1, 5)]
+                 + [grid_fold(n, n, "d4")[0] for n in range(1, 5)]
+                 + [([3, 2], [{0: 1, 1: 2}, {0: 1}])])
+
+
+@st.composite
+def burning_systems(draw):
+    """An undirected graph's system or a fold, with its burning
+    configuration."""
+    if draw(st.booleans()):
+        g = draw(undirected_graphs())
+        return g.out_degree, g.out, burning_config(g)
+    thresholds, out = draw(st.sampled_from(BURNING_FOLDS))
+    return thresholds, out, sink_weights(thresholds, out)
+
+
+@given(burning_systems(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_floor_is_the_least_value_that_burns(system, data):
+    thresholds, out, beta = system
+    c = [data.draw(st.integers(0, t - 1)) for t in thresholds]
+    j = data.draw(st.integers(0, len(c) - 1))
+    floor = _floor(thresholds, out, c, beta, j)
+
+    def burns_at(x):
+        return _burns(thresholds, out, c[:j] + [x] + c[j + 1:], beta)
+
+    assert (floor is None) == (not burns_at(thresholds[j] - 1))
+    if floor is not None:
+        assert burns_at(floor)
+        assert floor == 0 or not burns_at(floor - 1)
+
+
+def test_up_set_search_on_a_deep_star():
+    # 1,501 coordinates but a box of 1,501 configurations: the walk
+    # goes 1,500 levels deep
+    leaves = range(1, 1501)
+    g = SandpileGraph(range(1501), {e: 1 for v in leaves for e in ((0, v), (v, 0))},
+                      {0: 1})
+    assert enumerate_recurrents(g) == [(1500,) + (0,) * 1500]
+
+
 def test_up_set_search_on_the_empty_system():
     assert _recurrents([], [], []) == recurrents_by_filter([], [], []) == [()]
     assert enumerate_recurrents(SandpileGraph([], {}, {})) == [()]
@@ -269,6 +322,7 @@ def test_enumeration_cap(monkeypatch):
 
     monkeypatch.setenv("SANDPILE_ENUM_CAP", "10")
     monkeypatch.setattr("sandpiles.engine._burns", unused)
+    monkeypatch.setattr("sandpiles.engine._floor", unused)
     with pytest.raises(SizeCapError):
         enumerate_recurrents(grid_sandpile(2, 2))
 
@@ -280,6 +334,7 @@ def test_enumeration_cap_on_a_huge_box_is_printable(monkeypatch):
         raise AssertionError("a burning test ran")
 
     monkeypatch.setattr("sandpiles.engine._burns", unused)
+    monkeypatch.setattr("sandpiles.engine._floor", unused)
     k = 8000
     with pytest.raises(SizeCapError) as exc:
         _recurrents([4] * k, [{} for _ in range(k)], [4] * k)
