@@ -12,13 +12,13 @@ one pre-fired near its odometer, so toppling only finishes the
 avalanche, and keeps the result only if one burning test certifies it;
 `symmetry.grid_identity` passes such an estimate for grids.
 
-Recurrents are listed by a search over the stable box that makes one
-pass of Dhar's burning per search node (`_floor`), valid on undirected
-systems and their folds only: each pass gives the least value of the
-next coordinate that still burns, and the values above it are taken
-untested, since recurrents form an up-set.  The burning test `_burns`
-stays on `_topple`, for `is_recurrent`, the identity's certificate and
-the tests' oracle.
+Recurrence is decided by one pass of Dhar's burning (`_floor`), valid
+on undirected systems and their folds only: the pass gives the least
+value of one coordinate at which a stable configuration still burns.
+The burning test `_burns` (for `is_recurrent` and the identity's
+certificate) is one such pass, and the search that lists recurrents
+makes one per search node, taking the values above each floor
+untested, since recurrents form an up-set.
 """
 
 import os
@@ -93,10 +93,14 @@ def _topple(thresholds, out, c):
 
 
 def _burns(thresholds, out, c, beta):
-    """Burning test on a firing system: c + beta stabilizes to c with
-    every vertex having fired."""
-    res, fire = _topple(thresholds, out, [x + b for x, b in zip(c, beta)])
-    return res == tuple(c) and all(f >= 1 for f in fire)
+    """Burning test of a stable c on an undirected system or its fold:
+    c is recurrent iff c[0] is at least the floor that one `_floor` pass
+    gives for coordinate 0 (recurrents form an up-set).  The empty
+    configuration burns vacuously."""
+    if not c:
+        return True
+    floor = _floor(thresholds, out, c, beta, 0)
+    return floor is not None and floor <= c[0]
 
 
 def _check_box(thresholds):
@@ -226,9 +230,10 @@ def _identity(thresholds, out, tau=None):
     e <= top makes S^-1 e <= top * tau (S^-1 >= 0), so for exact tau
     0 <= u2 <= V - S^-1 e, which is x's odometer, and toppling ends at e
     by least action.  tau is a float, so that result is kept only if it
-    is non-negative and passes one burning test, since e is the only
-    recurrent configuration in the class of 0; otherwise x is stabilized
-    from zero.  Without tau, step 1 is the same with v0 = 0, and x is
+    is non-negative and passes one burning test (`_burns`, valid since
+    tau is only given for grid folds), since e is the only recurrent
+    configuration in the class of 0; otherwise x is stabilized from
+    zero.  Without tau, step 1 is the same with v0 = 0, and x is
     stabilized from zero as in that fallback.
     """
     twice = [2 * (t - 1) for t in thresholds]
@@ -260,9 +265,8 @@ def is_stable(g, c):
 
 
 def is_recurrent(g, c):
-    """Burning test: add the burning configuration and stabilize; c is
-    recurrent iff the result is c again with every vertex having fired.
-    """
+    """Dhar's burning test: one burning pass (`_burns`) on c plus the
+    burning configuration; undirected graphs only."""
     if not is_stable(g, c):
         raise ValueError("recurrence test requires a stable configuration")
     return _burns(g.out_degree, g.out, c, burning_config(g))
@@ -299,6 +303,8 @@ def config_order(g, c):
     is L^T Z^n (L^T = L on undirected graphs).  Solved in the numbering
     of `_breadth_first`.
     """
+    if len(c) != g.vertex_count:
+        raise ValueError("configuration has wrong length")
     return _order(*_breadth_first(list(zip(*reduced_laplacian(g))), c))
 
 

@@ -30,18 +30,21 @@ class SandpileGraph:
             raise ValueError("duplicate vertex labels")
         n = len(self.labels)
         self.out = [dict() for _ in range(n)]
-        for (u, v), w in edges.items():
-            if w < 0:
-                raise ValueError("negative edge weight")
-            if w:
-                self.out[self.index[u]][self.index[v]] = (
-                    self.out[self.index[u]].get(self.index[v], 0) + w
-                )
         self.sink_weight = [0] * n
-        for u, w in sink_weights.items():
-            if w < 0:
-                raise ValueError("negative sink edge weight")
-            self.sink_weight[self.index[u]] = w
+        try:
+            for (u, v), w in edges.items():
+                if w < 0:
+                    raise ValueError("negative edge weight")
+                if w:
+                    self.out[self.index[u]][self.index[v]] = (
+                        self.out[self.index[u]].get(self.index[v], 0) + w
+                    )
+            for u, w in sink_weights.items():
+                if w < 0:
+                    raise ValueError("negative sink edge weight")
+                self.sink_weight[self.index[u]] = w
+        except KeyError as exc:
+            raise ValueError(f"unknown vertex label {exc.args[0]!r}") from None
         self.undirected = undirected
         if undirected:
             for u in range(n):

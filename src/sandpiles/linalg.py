@@ -20,18 +20,22 @@ and returns the eliminated block's determinant and the bordered minors
 below it: one elimination then serves every minor of m that contains
 the block (Sylvester's identity).
 
-Entries are taken through `operator.index`, so a float or a Fraction
-raises TypeError instead of being truncated to an integer.
+Every entry point copies its input once through `_int_square`, which
+checks that the matrix is square and takes each entry through
+`operator.index`, so a float or a Fraction raises TypeError instead of
+being truncated to an integer.
 """
 
 from operator import index
 
 
-def _check_square(m):
+def _int_square(m):
+    """A copy of the square matrix m, each entry taken through
+    `operator.index`; raises ValueError if m is not square."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    return n
+    return [[index(x) for x in row] for row in m]
 
 
 def _bareiss(a, rhs, steps=None):
@@ -111,10 +115,10 @@ def _bareiss(a, rhs, steps=None):
 
 def det_int(m):
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = _check_square(m)
+    a = _int_square(m)
+    n = len(a)
     if n == 0:
         return 1
-    a = [[index(x) for x in row] for row in m]
     swaps = _bareiss(a, [0] * n)
     return 0 if swaps is None else (-1) ** swaps * a[n - 1][n - 1]
 
@@ -130,13 +134,13 @@ def schur_block(m, steps):
     1968).  If the block is singular, the split moves to steps = 0 and
     the result is (1, m); a singular block with steps = n gives (0, []).
     """
-    n = _check_square(m)
+    a = _int_square(m)
+    n = len(a)
     if not 0 <= steps <= n:
         raise ValueError("steps out of range")
-    a = [[index(x) for x in row] for row in m]
     swaps = _bareiss(a, [0] * n, steps)
     if swaps is None:
-        return (0, []) if steps == n else (1, [[index(x) for x in row] for row in m])
+        return (0, []) if steps == n else (1, _int_square(m))
     sign = (-1) ** swaps
     d = sign * a[steps - 1][steps - 1] if steps else 1
     return d, [[sign * x for x in row[steps:]] for row in a[steps:]]
@@ -149,11 +153,10 @@ def leading_minors(m):
     Raises ValueError if a leading minor is zero: the elimination would
     then swap rows, and its diagonal would no longer hold the minors.
     """
-    n = _check_square(m)
-    a = [[index(x) for x in row] for row in m]
-    if _bareiss(a, [0] * n) != 0:  # None (singular) or a swap
+    a = _int_square(m)
+    if _bareiss(a, [0] * len(a)) != 0:  # None (singular) or a swap
         raise ValueError("a leading principal minor is zero")
-    return [a[k][k] for k in range(n)]
+    return [row[k] for k, row in enumerate(a)]
 
 
 def solve_int(m, b):
@@ -162,10 +165,10 @@ def solve_int(m, b):
     y is the integer vector det * M^-1 b.  Raises ValueError if M is
     singular and ArithmeticError if the exact residual check fails.
     """
-    n = _check_square(m)
+    a = _int_square(m)
+    n = len(a)
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    a = [[index(x) for x in row] for row in m]
     rhs = [index(bv) for bv in b]
     swaps = _bareiss(a, rhs)
     last = a[n - 1][n - 1] if n else 1

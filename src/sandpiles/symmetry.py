@@ -95,6 +95,8 @@ class GroupAction:
 
     def apply(self, p, c):
         """Permute a configuration: (p.c)[p[v]] = c[v]."""
+        if len(c) != self.degree:
+            raise ValueError("configuration has wrong length")
         out = [0] * self.degree
         for v, x in enumerate(c):
             out[p[v]] = x

@@ -44,14 +44,15 @@ def _tree_choices(g):
     return choices
 
 
-def _walk_trees(choices, visit):
-    """Enumerate rooted spanning trees as parent assignments.
+def _walk_trees(choices):
+    """Rooted spanning trees as parent assignments: an iterator of
+    (tags, weight) pairs, tags the chosen tag per vertex.
 
     choices[v] lists the (target, weight, tag) options of vertex v,
     with target another vertex index or SINK; tag records which edge
     was taken.  Every vertex picks one option; acyclicity is checked
     incrementally by walking the parent chain of each new assignment.
-    visit(tags, weight) sees the chosen tag per vertex.
+    `TREE_VERTEX_CAP` is checked on the call, before the first tree.
     """
     n = len(choices)
     if n > TREE_VERTEX_CAP:
@@ -61,7 +62,7 @@ def _walk_trees(choices, visit):
 
     def rec(v, weight):
         if v == n:
-            visit(tags, weight)
+            yield tuple(tags), weight
             return
         for w, wt, tag in choices[v]:
             # does v -> w close a cycle through already-assigned vertices?
@@ -73,10 +74,10 @@ def _walk_trees(choices, visit):
             if u == v:
                 continue
             parent[v], tags[v] = w, tag
-            rec(v + 1, weight * wt)
+            yield from rec(v + 1, weight * wt)
             parent[v] = None
 
-    rec(0, 1)
+    return rec(0, 1)
 
 
 def enumerate_spanning_trees(g):
@@ -85,22 +86,13 @@ def enumerate_spanning_trees(g):
     parents maps each vertex index to its parent (SINK for sink edges);
     the weight is the product of the chosen edge weights.
     """
-    out = []
-    _walk_trees(_tree_choices(g), lambda parent, w: out.append((tuple(parent), w)))
-    return out
+    return list(_walk_trees(_tree_choices(g)))
 
 
 def spanning_tree_weight_sum(g):
     """Sum of spanning-tree weights by direct enumeration (the
     matrix-tree oracle; does not materialize the trees)."""
-    total = 0
-
-    def visit(parent, w):
-        nonlocal total
-        total += w
-
-    _walk_trees(_tree_choices(g), visit)
-    return total
+    return sum(w for _, w in _walk_trees(_tree_choices(g)))
 
 
 class EmbeddedFamily:
@@ -171,13 +163,7 @@ class EmbeddedFamily:
                 if w > 0:
                     other = next((pos[v] for v in ends if v != u), SINK)
                     choices[pos[u]].append((other, w, e))
-        out = []
-
-        def visit(tags, weight):
-            out.append((dict(zip(labels, tags)), weight))
-
-        _walk_trees(choices, visit)
-        return out
+        return [(dict(zip(labels, tags)), weight) for tags, weight in _walk_trees(choices)]
 
     def temperley_matching(self, tree):
         """Map a spanning tree to a perfect matching of the overlay.

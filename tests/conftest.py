@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from sandpiles import SandpileGraph, GroupAction
-from sandpiles.engine import _burns
+from sandpiles.engine import _topple
 
 
 @pytest.fixture
@@ -31,11 +31,20 @@ TRIANGLE_RECURRENTS = {
 }
 
 
+def burns_by_toppling(thresholds, out, c, beta):
+    """The toppling burning test, the oracle for `engine._burns` and
+    `engine._floor`: c + beta stabilizes to c with every vertex having
+    fired."""
+    res, fire = _topple(thresholds, out, [x + b for x, b in zip(c, beta)])
+    return res == tuple(c) and all(f >= 1 for f in fire)
+
+
 def recurrents_by_filter(thresholds, out, beta):
-    """The brute-force oracle for `engine._recurrents`: one burning test
-    per configuration of the stable box, in lexicographic order."""
+    """The brute-force oracle for `engine._recurrents`: one toppling
+    burning test per configuration of the stable box, in lexicographic
+    order."""
     return [c for c in product(*(range(t) for t in thresholds))
-            if _burns(thresholds, out, c, beta)]
+            if burns_by_toppling(thresholds, out, c, beta)]
 
 
 def assembled(a, b, c, m):

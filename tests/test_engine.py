@@ -1,7 +1,8 @@
 import random
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sandpiles import (
@@ -32,7 +33,7 @@ from sandpiles.engine import (
 from sandpiles.errors import SizeCapError
 from sandpiles.linalg import det_int
 
-from conftest import TRIANGLE_RECURRENTS, recurrents_by_filter
+from conftest import TRIANGLE_RECURRENTS, burns_by_toppling, recurrents_by_filter
 
 
 def naive_topple(thresholds, out, c, rng):
@@ -193,12 +194,30 @@ def test_floor_is_the_least_value_that_burns(system, data):
     floor = _floor(thresholds, out, c, beta, j)
 
     def burns_at(x):
-        return _burns(thresholds, out, c[:j] + [x] + c[j + 1:], beta)
+        return burns_by_toppling(thresholds, out, c[:j] + [x] + c[j + 1:], beta)
 
     assert (floor is None) == (not burns_at(thresholds[j] - 1))
     if floor is not None:
         assert burns_at(floor)
         assert floor == 0 or not burns_at(floor - 1)
+
+
+@given(burning_systems())
+@example(([], [], []))
+@settings(max_examples=150, deadline=None)
+def test_burning_pass_is_the_toppling_test(system):
+    thresholds, out, beta = system
+    for c in product(*(range(t) for t in thresholds)):
+        assert _burns(thresholds, out, c, beta) == burns_by_toppling(thresholds, out, c, beta)
+
+
+@given(undirected_graphs())
+@example(SandpileGraph([], {}, {}))
+@settings(max_examples=150, deadline=None)
+def test_is_recurrent_is_the_toppling_test(g):
+    beta = burning_config(g)
+    for c in product(*(range(d) for d in g.out_degree)):
+        assert is_recurrent(g, c) == burns_by_toppling(g.out_degree, g.out, c, beta)
 
 
 def test_up_set_search_on_a_deep_star():
@@ -298,6 +317,12 @@ def test_config_order_matches_repeated_addition(triangle):
             while acc != e:
                 acc, k = stable_add(g, acc, c), k + 1
             assert config_order(g, c) == k
+
+
+def test_config_order_rejects_wrong_length():
+    for c in [(1, 1, 1, 1, 7), (1, 1, 1)]:
+        with pytest.raises(ValueError, match="wrong length"):
+            config_order(grid_sandpile(2, 2), c)
 
 
 def test_config_order_directed_graph():

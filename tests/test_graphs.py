@@ -52,6 +52,12 @@ def test_sandpile_graph_rejects_asymmetric_undirected():
         SandpileGraph(["a", "b"], {("a", "b"): 2, ("b", "a"): 1}, {"a": 1})
 
 
+def test_sandpile_graph_rejects_unknown_labels():
+    for edges, sink in [({("a", "b"): 1}, {"a": 1}), ({}, {"a": 1, "b": 1})]:
+        with pytest.raises(ValueError, match="unknown vertex label 'b'"):
+            SandpileGraph(["a"], edges, sink)
+
+
 def tridiagonal(diagonal, below, above):
     """The matrix with the given diagonal, subdiagonal and superdiagonal."""
     n = len(diagonal)

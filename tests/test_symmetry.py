@@ -18,7 +18,6 @@ from sandpiles import (
     grid_fold,
     grid_sandpile,
     identity_config,
-    is_recurrent,
     klein_action,
     reduced_laplacian,
     stabilize,
@@ -50,7 +49,7 @@ from sandpiles.symmetry import (
     system_matrix,
 )
 
-from conftest import assembled, recurrents_by_filter
+from conftest import assembled, burns_by_toppling, recurrents_by_filter
 
 # one grid per parity class, both orientations of even x odd, and the
 # degenerate shapes on which some Klein elements coincide
@@ -486,6 +485,13 @@ def test_fold_rejects_wrong_length():
             fold(klein_action(2, 2), c)
 
 
+def test_apply_rejects_wrong_length():
+    act = klein_action(2, 2)
+    for c in [(1, 2, 3), (1, 2, 3, 4, 5)]:
+        with pytest.raises(ValueError, match="wrong length"):
+            act.apply(act.elements[1], c)
+
+
 def test_symmetric_recurrents_triangle(triangle, triangle_swap):
     found = enumerate_symmetric_recurrents(triangle, triangle_swap)
     assert sorted(found) == [(2, 2, 0), (2, 2, 1)]
@@ -641,10 +647,12 @@ def test_folded_stabilization_is_the_fold_of_stabilize(shape, directed, values):
 
 def symmetric_recurrents_by_filter(g, act):
     """The unfolded oracle: every symmetric stable configuration, in the
-    order of its orbit vector, kept when `is_recurrent` accepts it."""
+    order of its orbit vector, kept when the toppling burning test
+    accepts it."""
     degs = [g.out_degree[r] for r in act.representatives]
+    beta = burning_config(g)
     return [unfold(act, o) for o in product(*(range(d) for d in degs))
-            if is_recurrent(g, unfold(act, o))]
+            if burns_by_toppling(g.out_degree, g.out, unfold(act, o), beta)]
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3),

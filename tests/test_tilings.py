@@ -24,7 +24,7 @@ from sandpiles import checks, tilings
 from sandpiles.errors import SizeCapError
 from sandpiles.graphs import MatchGraph
 from sandpiles.linalg import det_int, schur_block
-from sandpiles.temperley import EmbeddedFamily
+from sandpiles.temperley import TREE_VERTEX_CAP, EmbeddedFamily, _tree_choices, _walk_trees
 
 
 FIBONACCI_STRIP = [1, 1, 2, 3, 5, 8, 13, 21]  # 2 x n tiling counts
@@ -278,8 +278,16 @@ def test_spanning_trees_weighted_graph():
 
 
 def test_spanning_tree_cap():
+    g = grid_sandpile(4, 4)
     with pytest.raises(SizeCapError):
-        enumerate_spanning_trees(grid_sandpile(4, 4))
+        _walk_trees(_tree_choices(g))  # on the call, before the first tree
+    for trees in (enumerate_spanning_trees, spanning_tree_weight_sum):
+        with pytest.raises(SizeCapError):
+            trees(g)
+    family = EmbeddedFamily("D", 4, 4)
+    assert family.graph.vertex_count > TREE_VERTEX_CAP
+    with pytest.raises(SizeCapError):
+        family.spanning_trees()
 
 
 def test_a_seq_values():
