@@ -145,7 +145,7 @@ def verify_rows(max_m, max_n):
 
     The grid rows are computed last to first, then the staircase 2n x 2n
     boards from n = max_n down, then the rest of the staircase work,
-    with every a_n from one elimination (`a_seq_upto`).  The capped work
+    with every a_n from one row shooting (`a_seq_upto`).  The capped work
     (tilings, the Sylvester dimension) grows with m and n, so a cap
     trips on the largest grid or board, before any uncapped work."""
     shapes = []

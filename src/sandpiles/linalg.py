@@ -5,7 +5,8 @@ linear solves: every intermediate entry stays an integer (each is a
 minor of the original matrix, which bounds growth).  A solve returns the
 integer Cramer numerators y = det * M^-1 b, found by fraction-free
 back-substitution and verified by an exact residual check.  With no
-row swap, the pivots are the leading principal minors (`leading_minors`).
+row swap, the pivots are the leading principal minors (`leading_minors`,
+the tests' oracle for the staircase orders of `tilings.a_seq_upto`).
 
 The kernel skips structural zeros: a row with a zero in the pivot column
 is left alone for that step, and a row update spans only the columns up
@@ -152,6 +153,8 @@ def leading_minors(m):
 
     Raises ValueError if a leading minor is zero: the elimination would
     then swap rows, and its diagonal would no longer hold the minors.
+    On L(P_n) it gives every staircase order a_k, the oracle that
+    `tilings.a_seq_upto`'s row shooting is tested against.
     """
     a = _int_square(m)
     if _bareiss(a, [0] * len(a)) != 0:  # None (singular) or a swap

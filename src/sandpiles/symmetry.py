@@ -68,6 +68,7 @@ class GroupAction:
             new = {tuple(map(s.__getitem__, q))
                    for q in new for s in self.generators} - group
         self.elements = sorted(group)
+        self._members = group
         self.degree = n
         self.orbits = []
         self.orbit_of = [None] * n
@@ -94,9 +95,12 @@ class GroupAction:
                     raise ValueError("action does not preserve edge weights")
 
     def apply(self, p, c):
-        """Permute a configuration: (p.c)[p[v]] = c[v]."""
+        """Permute a configuration: (p.c)[p[v]] = c[v].  p must be one of
+        `elements`, or ValueError is raised."""
         if len(c) != self.degree:
             raise ValueError("configuration has wrong length")
+        if tuple(p) not in self._members:
+            raise ValueError("permutation is not an element of the group")
         out = [0] * self.degree
         for v, x in enumerate(c):
             out[p[v]] = x

@@ -18,14 +18,15 @@ is within SEAM_WORK_CAP.  Any other small graph falls back to recursive
 enumeration, the oracle for the determinant in tests.
 
 The staircase graph P_n is the 2n x 2n grid folded by its dihedral
-symmetries.  Numbered row-major, L(P_(k-1)) is the leading block of
-L(P_k), so one elimination of L(P_n) reads every a_k off its pivots
-(`a_seq_upto`); `a_seq` is one determinant per n, and the oracle.
+symmetries.  `a_seq_upto` shoots down P_n's rows, one free unknown per
+diagonal cell, and reads each a_k as the determinant of k vectors over
+t_1..t_k: n small determinants, with no dense Laplacian.  `a_seq` is
+one determinant of L(P_n) per n, and the oracle.
 """
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian, p_graph
-from .linalg import det_int, leading_minors, schur_block
+from .linalg import det_int, schur_block
 from .symmetry import grid_fold
 
 ENUM_VERTEX_CAP = 28
@@ -224,12 +225,43 @@ def a_seq(n):
 
 
 def a_seq_upto(n):
-    """[a_seq(1), ..., a_seq(n)]: P_k has its k(k+1)/2 vertices first in
-    P_n, with the same Laplacian rows (a sink edge of P_k is an edge
-    down to row k + 1 in P_n), so a_k is the leading minor of that order
-    of L(P_n)."""
-    minors = leading_minors(reduced_laplacian(p_graph(n)))
-    return [minors[k * (k + 1) // 2 - 1] for k in range(1, n + 1)]
+    """[a_seq(1), ..., a_seq(n)], by shooting down the rows of P_n.
+
+    A diagonal cell (k, k) has no row above it coupled to it, so
+    t_k = x_(k,k) is a free unknown, and every other x_(i,j) is an
+    integer vector over t_1..t_i: row (k, j)'s Laplacian equation,
+    without its -1 on (k + 1, j), gives x_(k+1,j).  That edge is P_k's
+    sink edge at (k, j), with the same degree, so those k vectors are the
+    rows R_k of L(P_k) x restricted to row k, the rows above being zero.
+    t -> x is unimodular (as in `formulas.band_reduce`), and
+    det R_k = det L(P_k) = a_k.  Only rows k - 1 and k are kept, read
+    sparse from `p_graph(n)`, with no division.  R_k goes to `det_int`
+    with its columns reversed, the newest t first, so the zero-skipping
+    kernel meets R_k's zeros early; that multiplies the determinant by
+    (-1)^(k(k-1)/2), and a result of the other sign (a_k > 0, as L(P_k)
+    is positive definite) raises ArithmeticError.
+    """
+    g = p_graph(n)
+    x, seq = {}, []  # cell index -> vector over t_1..t_k, rows k - 1 and k
+    for k in range(1, n + 1):
+        for vec in x.values():
+            vec.append(0)
+        cells = range(g.index[(k, 1)], g.index[(k, k)] + 1)
+        x[cells[-1]] = [0] * (k - 1) + [1]
+        below = [g.index.get((k + 1, j)) for j in range(1, k + 1)]
+        rows = []
+        for u, down in zip(cells, below):
+            acc = [g.out_degree[u] * c for c in x[u]]
+            for v, w in g.out[u].items():
+                if v != down:
+                    acc = [a - w * b for a, b in zip(acc, x[v])]
+            rows.append(acc)
+        ak = det_int([row[::-1] for row in rows]) * (-1) ** (k * (k - 1) // 2)
+        if ak <= 0:
+            raise ArithmeticError(f"staircase order a_{k} came out as {ak}")
+        seq.append(ak)
+        x = {u: x[u] for u in cells} | dict(zip(below, rows))
+    return seq
 
 
 def distance_config(n):

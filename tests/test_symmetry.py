@@ -492,6 +492,14 @@ def test_apply_rejects_wrong_length():
             act.apply(act.elements[1], c)
 
 
+def test_apply_rejects_a_permutation_outside_the_group():
+    act = klein_action(2, 2)
+    for p in [(1, 1, 1, 1), (1, 0), (1, 0, 2, 3)]:
+        with pytest.raises(ValueError, match="not an element"):
+            act.apply(p, (1, 2, 3, 4))
+    assert act.apply([1, 0, 3, 2], (1, 2, 3, 4)) == (2, 1, 4, 3)  # a list p is taken as a tuple
+
+
 def test_symmetric_recurrents_triangle(triangle, triangle_swap):
     found = enumerate_symmetric_recurrents(triangle, triangle_swap)
     assert sorted(found) == [(2, 2, 0), (2, 2, 1)]

@@ -23,7 +23,7 @@ from sandpiles import (
 from sandpiles import checks, tilings
 from sandpiles.errors import SizeCapError
 from sandpiles.graphs import MatchGraph
-from sandpiles.linalg import det_int, schur_block
+from sandpiles.linalg import det_int, leading_minors, schur_block
 from sandpiles.temperley import TREE_VERTEX_CAP, EmbeddedFamily, _tree_choices, _walk_trees
 
 
@@ -298,6 +298,39 @@ def test_a_seq_values():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_a_seq_upto_matches_one_determinant_per_n(n):
     assert a_seq_upto(n) == [a_seq(k) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_a_seq_upto_matches_the_leading_minors(n):
+    minors = leading_minors(reduced_laplacian(p_graph(n)))
+    assert a_seq_upto(n) == [minors[k * (k + 1) // 2 - 1] for k in range(1, n + 1)]
+
+
+def test_a_seq_upto_gives_the_tiling_identity():
+    for k, ak in enumerate(a_seq_upto(20), start=1):
+        assert 2**k * ak**2 == checks.det_count(2 * k, 2 * k)
+
+
+def test_a_seq_upto_makes_one_small_determinant_per_k(monkeypatch):
+    want, shapes = [a_seq(k) for k in range(1, 10)], []
+
+    def spy(m):
+        shapes.append((len(m), {len(row) for row in m}))
+        return det_int(m)
+
+    def dense(g):
+        raise AssertionError("a_seq_upto built a dense Laplacian")
+
+    monkeypatch.setattr(tilings, "det_int", spy)
+    monkeypatch.setattr(tilings, "reduced_laplacian", dense)
+    assert a_seq_upto(9) == want
+    assert shapes == [(k, {k}) for k in range(1, 10)]
+
+
+def test_a_seq_upto_refuses_a_wrong_sign(monkeypatch):
+    monkeypatch.setattr(tilings, "det_int", lambda m: -det_int(m))
+    with pytest.raises(ArithmeticError, match="a_1"):
+        a_seq_upto(3)
 
 
 def test_a_seq_all_odd():
