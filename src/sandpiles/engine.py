@@ -9,16 +9,19 @@ same kernel, burning test and identity formula on it.
 The identity takes two stabilizations.  Given a float estimate of the
 torsion S^-1 1 (S the system's firing matrix), `_identity` starts each
 one pre-fired near its odometer, so toppling only finishes the
-avalanche, and keeps the result only if one burning test certifies it;
-`symmetry.grid_identity` passes such an estimate for grids.
+avalanche; `symmetry.grid_identity` passes such an estimate for grids.
+A start past the second odometer in places is corrected by untoppling
+(`_descend`, after Friedrich and Levine 2013): least action keeps the
+firing vector at or above the odometer, and the last burning pass
+certifies the result, with no restart from zero.
 
-Recurrence is decided by one pass of Dhar's burning (`_floor`), valid
-on undirected systems and their folds only: the pass gives the least
-value of one coordinate at which a stable configuration still burns.
-The burning test `_burns` (for `is_recurrent` and the identity's
-certificate) is one such pass, and the search that lists recurrents
-makes one per search node, taking the values above each floor
-untested, since recurrents form an up-set.
+Recurrence is decided by one pass of Dhar's burning (`_spread`, run by
+`_floor`), valid on undirected systems and their folds only: the pass
+gives the least value of one coordinate at which a stable configuration
+still burns.  The burning test `_burns` (for `is_recurrent`) is one
+such pass, the search that lists recurrents makes one per search node,
+taking the values above each floor untested, since recurrents form an
+up-set, and the identity's descent makes one per untoppling round.
 """
 
 import os
@@ -39,6 +42,22 @@ DEFAULT_ENUM_CAP = 10**7
 # `_identity`); at 48 x 48, step 1 then fires 384 times against 18,343
 # from 3 tau and 97,783 from zero.
 FIRST_START = 3.8
+
+# Step 2 starts SECOND_START * tau below step 1's firing vector V, at
+# V - SECOND_START * tau; its odometer is V - S^-1 e, and S^-1 e / tau
+# stays below 2.38 on the square grids measured (the identity e has mean
+# about 2.25), so there step 2 needs no descent.  Firings forward + back
+# and burning passes of step 2 on the D4 fold, at 48^2 / 128^2 / 256^2:
+#   2.3   1,011 + 576 in 4 / 38,628 + 63,798 in 57 /
+#         533,968 + 1,037,640 in 243
+#   2.35  1,764 in 1 / 59,732 + 22,954 in 18 / 791,771 + 328,407 in 86
+#   2.38  2,560 in 1 / 73,953 in 1 / 1,043,599 in 1
+#   2.4   3,093 in 1 / 98,682 in 1 / 1,430,359 in 1
+#   3     19,018 in 1 / 841,932 in 1 / 13,034,760 in 1
+# and 272,095 + 10,597 in 13 passes on the Klein fold of 200 x 100 with
+# 2.38.  Each pass walks every orbit, so a start just past the odometer
+# costs little and one far past it about a pass per surplus firing.
+SECOND_START = 2.38
 
 
 def max_stable(g):
@@ -135,20 +154,25 @@ def _floor(thresholds, out, c, beta, j):
     burnt[j] = False
     ready = [v for v, b in enumerate(burnt) if b]
     burnt[j] = True  # held back until F stops growing
-    floor = None
-    while True:
-        while ready:
-            for w, wt in out[ready.pop()].items():
-                grains[w] += wt
-                if not burnt[w] and grains[w] >= thresholds[w]:
-                    burnt[w] = True
-                    ready.append(w)
-        if floor is not None:
-            return floor if all(burnt) else None
-        floor = max(0, thresholds[j] - grains[j])
-        if floor >= thresholds[j]:
-            return None
-        ready.append(j)
+    _spread(thresholds, out, grains, burnt, ready)
+    floor = max(0, thresholds[j] - grains[j])
+    if floor >= thresholds[j]:
+        return None
+    _spread(thresholds, out, grains, burnt, [j])
+    return floor if all(burnt) else None
+
+
+def _spread(thresholds, out, grains, burnt, ready):
+    """Dhar's burning, in place: each vertex of `ready` (burnt already)
+    gives out[v][w] grains to each w, and w burns and gives in turn once
+    its grains reach its threshold.  Ends with `burnt` marking every
+    vertex the fire reaches; the rest have grains below threshold."""
+    while ready:
+        for w, wt in out[ready.pop()].items():
+            grains[w] += wt
+            if not burnt[w] and grains[w] >= thresholds[w]:
+                burnt[w] = True
+                ready.append(w)
 
 
 def _recurrents(thresholds, out, beta):
@@ -225,28 +249,55 @@ def _identity(thresholds, out, tau=None):
     start pre-fired.  Step 1 fires v0 = floor(FIRST_START * tau) on
     2 c_max and topples to a stable q = 2 c_max - S V, V being v0 plus
     the firings; for any integer v0, x = 2 c_max - q is in the class of
-    0 and x >= c_max, so stab(x) is the identity e.  Step 2 fires
-    u2 = max(0, floor(V - top * tau) - 1) on x, top = max(thresholds) - 1:
-    e <= top makes S^-1 e <= top * tau (S^-1 >= 0), so for exact tau
-    0 <= u2 <= V - S^-1 e, which is x's odometer, and toppling ends at e
-    by least action.  tau is a float, so that result is kept only if it
-    is non-negative and passes one burning test (`_burns`, valid since
-    tau is only given for grid folds), since e is the only recurrent
-    configuration in the class of 0; otherwise x is stabilized from
-    zero.  Without tau, step 1 is the same with v0 = 0, and x is
-    stabilized from zero as in that fallback.
+    0 and x >= c_max, so stab(x) is the identity e, and x's odometer is
+    u* = V - S^-1 e.  Step 2 fires u = max(0, floor(V - SECOND_START *
+    tau)) on x and topples forward, to x - S u stable with u (now
+    counting those firings too) >= 0, so u >= u* by least action,
+    whatever tau was; `_descend` untopples from there down to u* and
+    returns e.  Its burning passes are valid since tau is only given
+    for grid folds.
+    Without tau, v0 = 0 and x is stabilized from zero, which ends at e
+    with no descent; this path serves any firing system, directed ones
+    included.
     """
     twice = [2 * (t - 1) for t in thresholds]
     v0 = [0] * len(twice) if tau is None else [floor(FIRST_START * y) for y in tau]
     stab, fire = _topple(thresholds, out, _fired(thresholds, out, twice, v0))
     x = [t - s for t, s in zip(twice, stab)]
-    if tau is not None:
-        top = max(thresholds) - 1
-        u2 = [max(0, floor(v + f - top * y) - 1) for v, f, y in zip(v0, fire, tau)]
-        e = _topple(thresholds, out, _fired(thresholds, out, x, u2))[0]
-        if min(e) >= 0 and _burns(thresholds, out, e, sink_weights(thresholds, out)):
-            return e
-    return _topple(thresholds, out, x)[0]
+    if tau is None:
+        return _topple(thresholds, out, x)[0]
+    u2 = [max(0, floor(v + f - SECOND_START * y)) for v, f, y in zip(v0, fire, tau)]
+    c = _topple(thresholds, out, _fired(thresholds, out, x, u2))[0]
+    return _descend(thresholds, out, c, sink_weights(thresholds, out))
+
+
+def _descend(thresholds, out, c, beta):
+    """x's stabilization e, from c = x - S u, stable, with u >= u* (x's
+    odometer), on an undirected system or its fold with burning
+    configuration beta.
+
+    Each round runs one Dhar pass (`_spread`) on c + beta and untopples
+    (c += S d) by d_v = ceil(-c_v / t_v) on each orbit with negative
+    grains and d_v = 1 on each other orbit the pass leaves unburnt.
+    Both keep u - d >= u*, with e = x - S u*:
+      - c_v - e_v = sum_w out[w][v] (u_w - u*_w) - t_v (u_v - u*_v) >=
+        -t_v (u_v - u*_v), so c_v < 0 makes u_v - u*_v >= -c_v / t_v;
+      - an unburnt set A has c_v + beta_v + (what A's complement gives
+        v) < t_v at each v of A.  If B, A's orbits with u_v = u*_v, were
+        not empty, e would be c less at least what A - B gives there, so
+        B would hold back the burning of e, which is recurrent.
+    The untoppled c stays stable, and the sum of u falls every round,
+    so the rounds end, at a stable c >= 0 whose pass burns everything:
+    a recurrent configuration in the class of x, which is e.
+    """
+    while True:
+        grains = [x + b for x, b in zip(c, beta)]
+        burnt = [a >= t for a, t in zip(grains, thresholds)]
+        _spread(thresholds, out, grains, burnt, [v for v, b in enumerate(burnt) if b])
+        back = [max(-(x // t), not b) for x, t, b in zip(c, thresholds, burnt)]
+        if not any(back):
+            return tuple(c)
+        c = _fired(thresholds, out, c, [-k for k in back])
 
 
 def stabilize(g, c):

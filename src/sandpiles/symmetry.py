@@ -280,9 +280,11 @@ def grid_torsion(rows, cols, cells):
 
 
 # On grids with a shorter side below this, the odometers are a few
-# firings per orbit, and the guess, its pre-firing and its burning test
-# cost more than they save: 1 x 2000 took 1.4 times as long from the
-# guess, 2 x 2000 1.1 times, 3 x 2000 0.95 times and 4 x 2000 0.8 times.
+# firings per orbit, and the guess and its pre-firing cost more than they
+# save.  Best of 7 runs, guess against zero start: 1 x 2000 took 1.3-1.6
+# times as long from the guess, 2 x 2000 1.05-1.1 times, 3 x 2000
+# 0.6-0.8 times in 8 of 10 runs (2,003 firings against 16,994) and
+# 4 x 2000 0.6-0.75 times.
 GUESS_MIN_SIDE = 3
 
 
@@ -293,8 +295,11 @@ def grid_identity(rows, cols):
     map of `grid_fold`.
 
     From a shorter side of GUESS_MIN_SIDE on, both stabilizations start
-    from `grid_torsion`'s guess at the odometer, certified by one
-    burning test (`engine._identity`)."""
+    from `grid_torsion`'s guess at the odometer, and the second is
+    finished by untoppling where it started past it, down to the
+    configuration that one burning pass certifies (`engine._identity`);
+    the guess only moves the start, so the result is exact for any
+    guess."""
     group = "d4" if rows == cols else "klein"
     system, orbit = grid_fold(rows, cols, group)
     tau = None

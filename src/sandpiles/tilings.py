@@ -42,6 +42,10 @@ ENUM_VERTEX_CAP = 28
 # are.
 SEAM_PASS_COST = 1000
 SEAM_WORK_CAP = 15 * 10**7
+# `a_seq_upto(n)` grows about n^7.5: 0.9 s at n = 60, 2.2 s at 70 and
+# 7.0 s at 80 (Python 3.11, one 2-core VM), so n = 100 would take about
+# 40 s and n = 200 hours.
+A_SEQ_MAX_N = 80
 
 
 # --- matchings ---
@@ -239,8 +243,11 @@ def a_seq_upto(n):
     with its columns reversed, the newest t first, so the zero-skipping
     kernel meets R_k's zeros early; that multiplies the determinant by
     (-1)^(k(k-1)/2), and a result of the other sign (a_k > 0, as L(P_k)
-    is positive definite) raises ArithmeticError.
+    is positive definite) raises ArithmeticError.  An n above
+    A_SEQ_MAX_N raises SizeCapError before any work.
     """
+    if n > A_SEQ_MAX_N:
+        raise SizeCapError(f"staircase orders capped at n = {A_SEQ_MAX_N}")
     g = p_graph(n)
     x, seq = {}, []  # cell index -> vector over t_1..t_k, rows k - 1 and k
     for k in range(1, n + 1):

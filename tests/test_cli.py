@@ -335,6 +335,12 @@ def test_a_seq(capsys):
     assert report["all_odd"] is True
 
 
+def test_a_seq_beyond_the_cap_exits_3(capsys):
+    code, out, err = run_cli(capsys, "a-seq", "--n", "200")
+    assert (code, out) == (3, "")
+    assert "cap" in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "count-symmetric", "--rows", "0", "--cols", "2")[0] == 2
     assert run_cli(capsys, "count-tilings", "--rows", "2", "--cols", "2",

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +30,13 @@ from sandpiles import (
 from sandpiles import checks
 from sandpiles.blocks import grid_parity, parity_blocks
 from sandpiles.engine import (
-    _burns,
+    _descend,
+    _fired,
     _floor,
     _identity,
     _order,
     _recurrents,
+    _spread,
     _topple,
     sink_weights,
 )
@@ -548,67 +551,126 @@ def zero_start_identity(rows, cols):
     return tuple(e[orbit(i, j)] for i in range(rows) for j in range(cols))
 
 
-def burns_spy(monkeypatch):
-    """Record the outcome of every burning test `engine` runs."""
-    results = []
+class IdentitySpy:
+    """Count the stabilizations (`_topple` calls) `engine` runs and
+    record, for each Dhar pass (`_spread` call), whether it burnt every
+    vertex."""
 
-    def recording(*args):
-        results.append(_burns(*args))
-        return results[-1]
+    def __init__(self, monkeypatch):
+        self.topples, self.passes = 0, []
+        monkeypatch.setattr("sandpiles.engine._topple", self.topple)
+        monkeypatch.setattr("sandpiles.engine._spread", self.spread)
 
-    monkeypatch.setattr("sandpiles.engine._burns", recording)
-    return results
+    def topple(self, *args):
+        self.topples += 1
+        return _topple(*args)
+
+    def spread(self, thresholds, out, grains, burnt, ready):
+        _spread(thresholds, out, grains, burnt, ready)
+        self.passes.append(all(burnt))
+
+    def identity(self, rows, cols):
+        """grid_identity(rows, cols), with the counts reset before it."""
+        self.topples, self.passes = 0, []
+        return grid_identity(rows, cols)
 
 
 def guessed(rows, cols):
     return min(rows, cols) >= GUESS_MIN_SIDE
 
 
+def check_against_zero_start(spy, rows, cols):
+    """grid_identity is the zero-start identity, from two stabilizations
+    (no third, zero-start one).  A guessed grid ends on the first
+    burning pass that burns everything; any other runs none."""
+    want = zero_start_identity(rows, cols)
+    assert spy.identity(rows, cols) == want
+    assert spy.topples == 2
+    if guessed(rows, cols):
+        assert spy.passes[-1] and not any(spy.passes[:-1])
+    else:
+        assert spy.passes == []
+    return len(spy.passes)
+
+
 @pytest.mark.parametrize("rows", range(1, 31))
 def test_grid_identity_is_the_zero_start_identity(rows, monkeypatch):
-    # one burning test per guessed grid, which passes: no grid falls back
-    burns = burns_spy(monkeypatch)
+    spy = IdentitySpy(monkeypatch)
     for cols in range(1, 31):
-        assert grid_identity(rows, cols) == zero_start_identity(rows, cols)
-    assert burns == [True] * sum(guessed(rows, cols) for cols in range(1, 31))
+        check_against_zero_start(spy, rows, cols)
 
 
 @pytest.mark.parametrize("rows,cols", [(48, 48), (64, 63), (1, 2000), (2000, 1), (3, 900)])
 def test_grid_identity_is_the_zero_start_identity_on_large_grids(rows, cols, monkeypatch):
-    burns = burns_spy(monkeypatch)
-    assert grid_identity(rows, cols) == zero_start_identity(rows, cols)
-    assert burns == [True] * guessed(rows, cols)
+    check_against_zero_start(IdentitySpy(monkeypatch), rows, cols)
 
 
-@pytest.mark.parametrize("scale,rows,cols,certified", [
-    (0.1, 48, 48, False),  # the start of step 2 overshoots: entries go negative
-    (0.1, 3, 40, False),   # non-negative, but not recurrent
-    (0.5, 20, 13, False),
-    (10, 48, 48, True),    # an overestimate keeps step 2 below the odometer
+@pytest.mark.parametrize("scale,rows,cols,descends", [
+    (0.1, 48, 48, True),  # step 2 starts far past the odometer: entries go negative
+    (0.1, 3, 40, True),
+    (0.5, 20, 13, True),
+    (10, 48, 48, False),  # step 2 starts from zero, so one pass certifies it
 ])
-def test_grid_identity_falls_back_when_the_guess_is_wrong(scale, rows, cols, certified,
-                                                          monkeypatch):
-    burns = burns_spy(monkeypatch)
+def test_grid_identity_descends_when_the_guess_is_wrong(scale, rows, cols, descends,
+                                                        monkeypatch):
+    spy = IdentitySpy(monkeypatch)
     monkeypatch.setattr("sandpiles.symmetry.grid_torsion", lambda *args: [
         scale * y for y in grid_torsion(*args)])
-    assert grid_identity(rows, cols) == zero_start_identity(rows, cols)
-    assert (burns == [True]) == certified
+    assert (check_against_zero_start(spy, rows, cols) > 1) == descends
 
 
 def test_grid_identity_at_48x48_fires_fewer_than_30000_times(monkeypatch):
+    # forward firings (`_topple`) plus untopplings (`_fired` by a negative
+    # vector); 2,944 of them when this was written
     fired = []
 
-    def recording(thresholds, out, c):
+    def topple(thresholds, out, c):
         stable, fire = _topple(thresholds, out, c)
         fired.append(sum(fire))
         return stable, fire
 
-    monkeypatch.setattr("sandpiles.engine._topple", recording)
+    def untopple(thresholds, out, c, u):
+        fired.append(sum(-k for k in u if k < 0))
+        return _fired(thresholds, out, c, u)
+
+    monkeypatch.setattr("sandpiles.engine._topple", topple)
+    monkeypatch.setattr("sandpiles.engine._fired", untopple)
     grid_identity(48, 48)
-    assert sum(fired) < 30_000
+    assert sum(fired) < 3_500
     fired.clear()
     _identity(*grid_fold(48, 48, "d4")[0])
     assert sum(fired) == 134_844
+
+
+@given(st.sampled_from(["klein", "d4"]), st.integers(1, 12), st.integers(1, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_descent_from_any_start_stays_above_the_odometer(group, rows, cols, data):
+    # step 2 of `_identity` from a random start 0 <= u <= 3 u*, u* the
+    # zero-start odometer: the forward toppling ends at or above u*, and
+    # every untoppling round of `_descend` keeps the firing vector there,
+    # ending at u* and the zero-start identity
+    cols = rows if group == "d4" else cols
+    thresholds, out = grid_fold(rows, cols, group)[0]
+    twice = [2 * (t - 1) for t in thresholds]
+    x = [a - b for a, b in zip(twice, _topple(thresholds, out, twice)[0])]
+    e, odometer = _topple(thresholds, out, x)
+    u = data.draw(st.tuples(*(st.integers(0, 3 * k) for k in odometer)))
+    c, fire = _topple(thresholds, out, _fired(thresholds, out, x, u))
+    now = [a + b for a, b in zip(u, fire)]
+    assert all(a >= b for a, b in zip(now, odometer))
+    rounds = []
+
+    def untopple(thresholds, out, c, u):
+        rounds.append(u)
+        return _fired(thresholds, out, c, u)
+
+    with mock.patch("sandpiles.engine._fired", untopple):
+        assert _descend(thresholds, out, c, sink_weights(thresholds, out)) == e
+    for step in rounds:
+        assert all(k <= 0 for k in step)
+        now = [a + k for a, k in zip(now, step)]
+        assert all(a >= b for a, b in zip(now, odometer))
+    assert now == list(odometer)
 
 
 def check_torsion_guess(rows, cols):

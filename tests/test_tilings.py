@@ -333,6 +333,18 @@ def test_a_seq_upto_refuses_a_wrong_sign(monkeypatch):
         a_seq_upto(3)
 
 
+def test_a_seq_upto_refuses_n_above_the_cap_before_any_work(monkeypatch):
+    def unused(n):
+        raise AssertionError("a_seq_upto built P_n before its cap")
+
+    assert tilings.A_SEQ_MAX_N >= 60  # the CI smoke runs a-seq --n 60
+    monkeypatch.setattr(tilings, "A_SEQ_MAX_N", 3)
+    assert a_seq_upto(3) == [1, 3, 29]
+    monkeypatch.setattr(tilings, "p_graph", unused)
+    with pytest.raises(SizeCapError, match="n = 3"):
+        a_seq_upto(4)
+
+
 def test_a_seq_all_odd():
     assert all(a_seq(n) % 2 == 1 for n in range(1, 7))
 
