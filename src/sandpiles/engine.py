@@ -6,14 +6,14 @@ A sandpile graph is the system (out_degree, out); `symmetry` builds the
 folded system of a group action, whose vertices are orbits, and runs the
 same kernel, burning test and identity formula on it.
 
-The identity takes two stabilizations.  Given a float estimate of the
-torsion S^-1 1 (S the system's firing matrix), `_identity` starts each
-one pre-fired near its odometer, so toppling only finishes the
-avalanche; `symmetry.grid_identity` passes such an estimate for grids.
-A start past the second odometer in places is corrected by untoppling
-(`_descend`, after Friedrich and Levine 2013): least action keeps the
-firing vector at or above the odometer, and the last burning pass
-certifies the result, with no restart from zero.
+The identity of the general path takes two stabilizations from zero.
+Given a float estimate of the torsion S^-1 1 (S the system's firing
+matrix), `_identity` takes one instead, started near the identity's
+firing potential S^-1 e; `symmetry.grid_identity` passes such an
+estimate for grids.  A start past the odometer in places is corrected
+by untoppling (`_descend`, after Friedrich and Levine 2013): least
+action keeps the firing vector at or above the odometer, and the last
+burning pass certifies the result.
 
 Recurrence is decided by one pass of Dhar's burning (`_spread`, run by
 `_floor`), valid on undirected systems and their folds only: the pass
@@ -26,7 +26,7 @@ up-set, and the identity's descent makes one per untoppling round.
 
 import os
 from collections import deque
-from math import floor, gcd
+from math import ceil, gcd
 
 from .errors import SizeCapError
 from .graphs import reduced_laplacian
@@ -34,20 +34,12 @@ from .linalg import solve_int
 
 DEFAULT_ENUM_CAP = 10**7
 
-# Step 1 of `_identity` pre-fires FIRST_START * tau on 2 c_max.  On a
-# grid fold (every threshold 4) its odometer is S^-1 (6 - q) for
-# q = stab(2 c_max), and the mean of q is about 2.2-2.3 at 16^2-96^2, so
-# the odometer is near 3.7-3.8 tau; the stable q <= 3 makes 3 tau a lower
-# bound.  A start past the odometer in places is still exact (see
-# `_identity`); at 48 x 48, step 1 then fires 384 times against 18,343
-# from 3 tau and 97,783 from zero.
-FIRST_START = 3.8
-
-# Step 2 starts SECOND_START * tau below step 1's firing vector V, at
-# V - SECOND_START * tau; its odometer is V - S^-1 e, and S^-1 e / tau
-# stays below 2.38 on the square grids measured (the identity e has mean
-# about 2.25), so there step 2 needs no descent.  Firings forward + back
-# and burning passes of step 2 on the D4 fold, at 48^2 / 128^2 / 256^2:
+# With tau, `_identity` topples S z, z = ceil(SECOND_START * tau): x = S w
+# for a large enough integer w >= z, with z's firings still to come, and
+# x's odometer w - S^-1 e leaves z - S^-1 e of them.  S^-1 e / tau stays
+# below 2.38 on the square grids measured (the identity e has mean about
+# 2.25), so there the toppling needs no descent.  Firings forward + back
+# and burning passes on the D4 fold, at 48^2 / 128^2 / 256^2:
 #   2.3   1,011 + 576 in 4 / 38,628 + 63,798 in 57 /
 #         533,968 + 1,037,640 in 243
 #   2.35  1,764 in 1 / 59,732 + 22,954 in 18 / 791,771 + 328,407 in 86
@@ -243,31 +235,30 @@ def sink_weights(thresholds, out):
 
 
 def _identity(thresholds, out, tau=None):
-    """(c_max + (c_max - (2 c_max)o))o on a firing system.
+    """(c_max + (c_max - (2 c_max)o))o, the identity e, on a firing system.
 
-    With tau, a float estimate of the torsion S^-1 1, both stabilizations
-    start pre-fired.  Step 1 fires v0 = floor(FIRST_START * tau) on
-    2 c_max and topples to a stable q = 2 c_max - S V, V being v0 plus
-    the firings; for any integer v0, x = 2 c_max - q is in the class of
-    0 and x >= c_max, so stab(x) is the identity e, and x's odometer is
-    u* = V - S^-1 e.  Step 2 fires u = max(0, floor(V - SECOND_START *
-    tau)) on x and topples forward, to x - S u stable with u (now
-    counting those firings too) >= 0, so u >= u* by least action,
-    whatever tau was; `_descend` untopples from there down to u* and
-    returns e.  Its burning passes are valid since tau is only given
-    for grid folds.
-    Without tau, v0 = 0 and x is stabilized from zero, which ends at e
-    with no descent; this path serves any firing system, directed ones
-    included.
+    Without tau, x = 2 c_max - (2 c_max)o is in the class of 0 and
+    x >= c_max, so stab(x) = e: two stabilizations from zero, with no
+    descent.  This path serves any firing system, directed ones included.
+
+    With tau, any float vector (an estimate of the torsion S^-1 1, given
+    for grid folds only), e is one stabilization of S z, with z =
+    ceil(SECOND_START * tau), finished by `_descend`.  On a grid fold S
+    is a nonsingular M-matrix, so adj(S) 1 >= 0 and det S > 0.  For N
+    large, w = z + N adj(S) 1 is an integer vector with w >= z, and
+    x = S w = S z + N det S 1 >= c_max is in the class of 0, so
+    stab(x) = e.  S z is x - S (w - z), and toppling it forward gives a
+    stable x - S u with u >= w - z >= 0, so u is at least x's odometer
+    by least action, whatever tau was; `_descend` untopples from there
+    down to the odometer and returns e.  Neither x nor w is built.
     """
-    twice = [2 * (t - 1) for t in thresholds]
-    v0 = [0] * len(twice) if tau is None else [floor(FIRST_START * y) for y in tau]
-    stab, fire = _topple(thresholds, out, _fired(thresholds, out, twice, v0))
-    x = [t - s for t, s in zip(twice, stab)]
     if tau is None:
+        twice = [2 * (t - 1) for t in thresholds]
+        x = [a - b for a, b in zip(twice, _topple(thresholds, out, twice)[0])]
         return _topple(thresholds, out, x)[0]
-    u2 = [max(0, floor(v + f - SECOND_START * y)) for v, f, y in zip(v0, fire, tau)]
-    c = _topple(thresholds, out, _fired(thresholds, out, x, u2))[0]
+    z = [ceil(SECOND_START * y) for y in tau]
+    start = [-a for a in _fired(thresholds, out, [0] * len(z), z)]  # S z
+    c = _topple(thresholds, out, start)[0]
     return _descend(thresholds, out, c, sink_weights(thresholds, out))
 
 

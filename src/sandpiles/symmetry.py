@@ -20,10 +20,10 @@ cells, with no unfolded graph and no group, and returns it with its
 orbit map, which gives any cell's orbit index in O(1) and stores no
 per-cell list.  `d_family` reads the quotient graphs off the Klein fold.
 `grid_identity` runs on the D4 fold of a square grid (Klein otherwise),
-starts both of its stabilizations near their odometers, from
-`grid_torsion`'s closed-form estimate of the fold's torsion S^-1 1, and
-unfolds the result through the orbit map, as `tilings.pn_embed` unfolds
-a staircase configuration.  Counts (`checks.det_count`) and element orders
+takes one stabilization, started near its odometer from `grid_torsion`'s
+closed-form estimate of the fold's torsion S^-1 1, and unfolds the
+result through the orbit map, as `tilings.pn_embed` unfolds a staircase
+configuration.  Counts (`checks.det_count`) and element orders
 (`checks.grid_config_order`) run on the Klein fold S of every grid,
 shooting through S's rows to one small matrix (`formulas.band_reduce`).
 """
@@ -279,33 +279,20 @@ def grid_torsion(rows, cols, cells):
             for i, j in cells]
 
 
-# On grids with a shorter side below this, the odometers are a few
-# firings per orbit, and the guess and its pre-firing cost more than they
-# save.  Best of 7 runs, guess against zero start: 1 x 2000 took 1.3-1.6
-# times as long from the guess, 2 x 2000 1.05-1.1 times, 3 x 2000
-# 0.6-0.8 times in 8 of 10 runs (2,003 firings against 16,994) and
-# 4 x 2000 0.6-0.75 times.
-GUESS_MIN_SIDE = 3
-
-
 def grid_identity(rows, cols):
     """The identity of the rows x cols grid, as `symmetric_identity` on
     the D4 fold of a square grid and the Klein fold of any other (D4
     folds by 8, which saves toppling work), unfolded through the orbit
     map of `grid_fold`.
 
-    From a shorter side of GUESS_MIN_SIDE on, both stabilizations start
-    from `grid_torsion`'s guess at the odometer, and the second is
-    finished by untoppling where it started past it, down to the
-    configuration that one burning pass certifies (`engine._identity`);
-    the guess only moves the start, so the result is exact for any
-    guess."""
+    The one stabilization starts from `grid_torsion`'s guess at the
+    odometer and is finished by untoppling where it started past it, down
+    to the configuration that one burning pass certifies
+    (`engine._identity`); the guess only moves the start, so the result
+    is exact for any guess."""
     group = "d4" if rows == cols else "klein"
     system, orbit = grid_fold(rows, cols, group)
-    tau = None
-    if min(rows, cols) >= GUESS_MIN_SIDE:
-        tau = grid_torsion(rows, cols, _quarter_cells(rows, cols, group))
-    e = _identity(*system, tau)
+    e = _identity(*system, grid_torsion(rows, cols, _quarter_cells(rows, cols, group)))
     return tuple(e[orbit(i, j)] for i in range(rows) for j in range(cols))
 
 
