@@ -74,7 +74,9 @@ def _topple(thresholds, out, c):
     unstable vertex fires floor(c_v / threshold_v) times at once, a legal
     run since no firing takes more than threshold_v from v or any sand
     from another vertex; the result is independent of the processing
-    order (abelian property), so batching is purely speed.
+    order (abelian property), so batching is purely speed.  A vertex is
+    queued at most once, at or above its threshold, and only its own
+    firing lowers it, so it fires at least once when it leaves the queue.
 
     c may hold negative entries, as a start pre-fired by `_fired` does: a
     vertex below its threshold never fires, so it only gains grains.  By
@@ -91,8 +93,6 @@ def _topple(thresholds, out, c):
         v = queue.popleft()
         queued[v] = False
         k = amts[v] // thresholds[v]
-        if k <= 0:
-            continue
         fire[v] += k
         amts[v] -= k * thresholds[v]
         for w, wt in out[v].items():
@@ -117,7 +117,11 @@ def _burns(thresholds, out, c, beta):
 def _check_box(thresholds):
     """Raise SizeCapError if the stable box, prod(thresholds), exceeds
     `SANDPILE_ENUM_CAP`; the product stops growing once it passes."""
-    cap, total = int(os.environ.get("SANDPILE_ENUM_CAP", DEFAULT_ENUM_CAP)), 1
+    raw, total = os.environ.get("SANDPILE_ENUM_CAP", DEFAULT_ENUM_CAP), 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"SANDPILE_ENUM_CAP must be an integer, not {raw!r}") from None
     for t in thresholds:
         total *= t
         if total > cap:
@@ -182,8 +186,9 @@ def _recurrents(thresholds, out, beta):
     pass, untested: every value above a burning one burns too.  Grids
     and their folds number vertices row by row from the corner, so the
     corner row, which burning reaches first and where the top intervals
-    are widest, lies deepest.  Every node below the root has a result
-    below it, so k coordinates and R results take at most k*R + 1
+    are widest, lies deepest.  The root, c_max, burns, and every pushed
+    value lies in a top interval, so every node has a floor and a result
+    below it: k coordinates and R results take at most k*R + 1
     passes.  `SANDPILE_ENUM_CAP` bounds the box, checked before any pass
     (`_check_box`).
     """
@@ -196,8 +201,6 @@ def _recurrents(thresholds, out, beta):
     def expand(j):
         # c[:j + 1] is at its top; c[j + 1:] is the node's suffix
         floor = _floor(thresholds, out, c, beta, j)
-        if floor is None:
-            return
         if j:
             stack.extend((j, x) for x in range(floor, thresholds[j]))
         else:

@@ -19,7 +19,9 @@ value on every input.
 `schur_block` stops the same elimination after a given number of steps
 and returns the eliminated block's determinant and the bordered minors
 below it: one elimination then serves every minor of m that contains
-the block (Sylvester's identity).
+the block (Sylvester's identity).  `det_int` keeps its own short read
+of the full elimination: on the many small seam minors of a Mobius
+count, going through `schur_block` cost `verify` about 2% of its time.
 
 Every entry point copies its input once through `_int_square`, which
 checks that the matrix is square and takes each entry through

@@ -14,8 +14,10 @@ and a pass that takes it is its parent pass with the wrap's two end
 cells dropped from the block's rows and columns and its weight
 multiplied in, so no pass rebuilds its cells from the subset.  Every
 lattice board, twisted or not, is counted only when its estimated work
-is within SEAM_WORK_CAP.  Any other small graph falls back to recursive
-enumeration, the oracle for the determinant in tests.
+is within SEAM_WORK_CAP.  Any other small graph falls back to
+enumeration, one recursion on the set of uncovered cells that matches
+the least of them each way it can; it is also the oracle for the
+determinant in tests.
 
 The staircase graph P_n is the 2n x 2n grid folded by its dihedral
 symmetries.  `a_seq_upto` shoots down P_n's rows, one free unknown per
@@ -187,36 +189,26 @@ def count_matchings(board):
 
 
 def enumerate_matchings(board):
-    """All perfect matchings as (edge list, weight) pairs."""
+    """All perfect matchings as (edge list, weight) pairs, by one recursion
+    on the uncovered cells: the least of them is matched with each
+    uncovered neighbour in `neighbors()` order.  A board with no perfect
+    matching, such as one of odd size, gives []."""
     verts = board.vertices
     if len(verts) > ENUM_VERTEX_CAP:
         raise SizeCapError(f"enumeration capped at {ENUM_VERTEX_CAP} vertices")
-    if len(verts) % 2:
-        return []
     adj = board.neighbors()
-    order = {v: i for i, v in enumerate(verts)}
-    covered = [False] * len(verts)
-    chosen = []
     out = []
 
-    def rec(weight):
-        try:
-            v = next(i for i in range(len(verts)) if not covered[i])
-        except StopIteration:
-            out.append((list(chosen), weight))
+    def rec(free, chosen, weight):
+        if not free:
+            out.append((chosen, weight))
             return
-        covered[v] = True
-        for u, w in adj[verts[v]]:
-            ui = order[u]
-            if not covered[ui]:
-                covered[ui] = True
-                chosen.append((verts[v], u) if verts[v] < u else (u, verts[v]))
-                rec(weight * w)
-                chosen.pop()
-                covered[ui] = False
-        covered[v] = False
+        v = min(free)
+        for u, w in adj[v]:
+            if u in free:  # u > v, as v is the least free cell
+                rec(free - {v, u}, chosen + [(v, u)], weight * w)
 
-    rec(1)
+    rec(frozenset(verts), [], 1)
     return out
 
 

@@ -401,6 +401,15 @@ def test_size_cap_exit_code(capsys, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_malformed_enum_cap_is_named(capsys, monkeypatch, value):
+    monkeypatch.setenv("SANDPILE_ENUM_CAP", value)
+    code, out, err = run_cli(capsys, "count-symmetric", "--rows", "4",
+                             "--cols", "4", "--method", "enumerate")
+    assert (code, out) == (2, "")
+    assert f"SANDPILE_ENUM_CAP must be an integer, not {value!r}" in err
+
+
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (8, 8), (9, 9), (10, 7), (7, 12)])
 def test_order_and_identity_are_the_generic_folds(capsys, tmp_path, rows, cols):
     g = grid_sandpile(rows, cols)

@@ -131,6 +131,12 @@ def test_stabilize_rejects_negative(triangle):
         stabilize(triangle, (-1, 0, 0))
 
 
+def test_stabilize_rejects_wrong_length(triangle):
+    for c in [(1, 1), (1, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="wrong length"):
+            stabilize(triangle, c)
+
+
 def test_burning_config(triangle):
     assert burning_config(triangle) == (1, 1, 0)
 

@@ -254,3 +254,22 @@ def test_match_graph_merges_parallel_edges():
     assert g.edges == {((1, 1), (1, 2)): 3}
     with pytest.raises(ValueError):
         MatchGraph([(1, 1)], {((1, 1), (1, 1)): 1})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SandpileGraph(["a", "a"], {}, {"a": 1}), "duplicate vertex labels"),
+    (lambda: SandpileGraph(["a", "b"], {("a", "b"): -1}, {"a": 1, "b": 1}, undirected=False),
+     "negative edge weight"),
+    (lambda: SandpileGraph(["a"], {}, {"a": -1}), "negative sink edge weight"),
+    (lambda: MatchGraph([(1, 1)], {((1, 1), (1, 2)): 1}), "edge endpoint not a vertex"),
+    (lambda: MatchGraph([(1, 1), (1, 2)], {((1, 1), (1, 2)): 0}), "non-positive edge weight"),
+    (lambda: grid_sandpile(0, 3), "grid dimensions must be positive"),
+    (lambda: p_graph(0), "n must be positive"),
+    (lambda: board_graph("plain", 0, 3), "board dimensions must be positive"),
+    (lambda: board_graph("hexagonal", 2, 2), "unknown board kind 'hexagonal'"),
+    (lambda: parity_blocks("even", 2), "unknown parity class 'even'"),
+    (lambda: d_family("D", 0, 1), "dimensions must be positive"),
+])
+def test_builders_refuse_malformed_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -141,6 +141,13 @@ def test_det_refuses_inexact_entries():
             det_int(mat)
 
 
+def test_det_and_solve_refuse_mismatched_shapes():
+    with pytest.raises(ValueError, match="not square"):
+        det_int([[1, 2]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_int([[2, 0], [0, 1]], [1, 1, 1])
+
+
 def test_leading_minors_refuse_inexact_entries():
     with pytest.raises(TypeError):
         leading_minors([[2.5, 0], [0, 1.9]])

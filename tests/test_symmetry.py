@@ -102,6 +102,8 @@ def test_group_action_rejects_non_permutations():
     for perms in ([(0, 0)], [(1, 0), (0, 1, 2)], [(1, 2)]):
         with pytest.raises(ValueError, match="not a permutation"):
             GroupAction(perms)
+    with pytest.raises(ValueError, match="empty action"):
+        GroupAction([])
 
 
 def test_group_action_deduplicates():
@@ -454,6 +456,12 @@ def test_validate_weights_checks_every_generator(triangle, triangle_swap):
     triangle_swap.validate_weights(triangle)
     with pytest.raises(ValueError, match="sink edges"):
         GroupAction([(1, 0, 2), (2, 1, 0)]).validate_weights(triangle)
+    # the path a - b - c weighted 1, 2: swapping a and c keeps the sink
+    # weights but not the edge weights
+    path = SandpileGraph(["a", "b", "c"], {("a", "b"): 1, ("b", "a"): 1, ("b", "c"): 2,
+                                           ("c", "b"): 2}, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ValueError, match="edge weights"):
+        GroupAction([(2, 1, 0)]).validate_weights(path)
 
 
 def test_fold_rejects_an_action_of_another_degree():
@@ -485,6 +493,12 @@ def test_fold_rejects_wrong_length():
     for c in [(1,) * 6, (1,) * 2]:
         with pytest.raises(ValueError, match="wrong length"):
             fold(klein_action(2, 2), c)
+
+
+def test_unfold_rejects_wrong_length():
+    for o in [(1,) * 3, (1,) * 5]:
+        with pytest.raises(ValueError, match="wrong length"):
+            unfold(klein_action(4, 4), o)
 
 
 def test_apply_rejects_wrong_length():
@@ -632,6 +646,24 @@ def test_grid_identity_at_48x48_fires_fewer_than_30000_times(monkeypatch):
     fired.clear()
     _identity(*grid_fold(48, 48, "d4")[0])
     assert sum(fired) == 134_844
+
+
+def test_grid_identity_at_200x100_descends_at_most_13_passes(monkeypatch):
+    # near 3:2, S^-1 e / tau passes SECOND_START in places, so the descent
+    # runs several Dhar passes; 13 passes and 10,597 untopplings when this
+    # was written, and a better guess should lower both
+    spy = IdentitySpy(monkeypatch)
+    untoppled = []
+
+    def untopple(thresholds, out, c, u):
+        untoppled.append(sum(-k for k in u if k < 0))
+        return _fired(thresholds, out, c, u)
+
+    monkeypatch.setattr("sandpiles.engine._fired", untopple)
+    spy.identity(200, 100)
+    assert spy.topples == 1 and spy.passes[-1]
+    assert len(spy.passes) <= 13
+    assert sum(untoppled) <= 10_597
 
 
 @given(st.sampled_from(["klein", "d4"]), st.integers(1, 12), st.integers(1, 12), st.data())

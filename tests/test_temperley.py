@@ -87,6 +87,13 @@ def test_matching_rejects_non_tree():
     fam = EmbeddedFamily("D", 2, 2)
     with pytest.raises(ValueError):
         fam.temperley_matching({})
+    # (1, 1) and (1, 2) both take the edge node between them
+    with pytest.raises(ValueError, match="reuses an embedded edge"):
+        fam.temperley_matching({(1, 1): (2, 3), (1, 2): (2, 3), (2, 1): (4, 1), (2, 2): (3, 4)})
+    # every vertex points to the next one around the 4-cycle, so no edge
+    # reaches the sink and the face inside the cycle is cut off
+    with pytest.raises(ValueError, match="dual tree does not reach every bounded face"):
+        fam.temperley_matching({(1, 1): (2, 3), (1, 2): (3, 4), (2, 2): (4, 3), (2, 1): (3, 2)})
 
 
 def test_embedding_needs_enough_columns():

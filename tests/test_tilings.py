@@ -250,6 +250,21 @@ def test_non_grid_falls_back_to_enumeration():
     assert count_matchings(broken) == 1
 
 
+def test_holed_mobius_board_falls_back_to_enumeration(monkeypatch):
+    # wrap edges on a board that is not the full grid: `_grid_structure`
+    # refuses it, so the matchings are listed, not eliminated
+    def unused(*args):
+        raise AssertionError("the Kasteleyn matrix was built")
+
+    b = board_graph("mobius", 4, 4)
+    gone = {(2, 2), (2, 3)}
+    holed = MatchGraph([v for v in b.vertices if v not in gone],
+                       {e: w for e, w in b.edges.items() if not gone & set(e)})
+    monkeypatch.setattr(tilings, "_kasteleyn", unused)
+    assert tilings._grid_structure(holed) is None
+    assert count_matchings(holed) == len(enumerate_matchings(holed)) == 17
+
+
 def test_large_non_grid_is_refused_by_the_enumeration_cap():
     # a diagonal edge takes the 6 x 5 board off the lattice: 30 vertices
     b = board_graph("plain", 6, 5)
