@@ -3,9 +3,11 @@
 The package computes recurrent configurations, symmetric recurrents,
 identity elements, and element orders for sandpile grid graphs, and
 cross-verifies the counts against domino-tiling numbers and
-Chebyshev/trigonometric product formulas (`checks`).  All arithmetic is exact
+Chebyshev/trigonometric product formulas (`checks`).  Every result is exact
 (Python integers): the closed-form products are evaluated as integer
-resultants, with no floating point anywhere.
+resultants.  The one float is `symmetry.grid_torsion`'s estimate of the
+grid identity's torsion, which only moves where the identity's toppling
+starts; a burning pass certifies the result, so no output depends on it.
 """
 
 from .errors import SizeCapError, PrecisionError, SymmetryError

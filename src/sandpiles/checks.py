@@ -14,15 +14,16 @@ from math import gcd
 from .blocks import grid_parity, parity_blocks
 from .engine import _check_box, _order, _recurrents, config_order, sink_weights
 from .formulas import band_reduce, block_tridiag_det, closed_form_count
-from .graphs import board_graph, grid_sandpile, p_graph, reduced_laplacian
-from .linalg import det_int
-from .symmetry import (
+from .graphs import (
     _system_rows,
-    grid_fold,
-    klein_action,
-    symmetrized_laplacian,
+    board_graph,
+    grid_sandpile,
+    p_graph,
+    reduced_laplacian,
     system_matrix,
 )
+from .linalg import det_int
+from .symmetry import grid_fold, klein_action, symmetrized_laplacian
 from .tilings import a_seq_upto, count_matchings, diagonal_config, distance_config
 
 

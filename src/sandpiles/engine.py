@@ -4,16 +4,19 @@ One toppling kernel, `_topple`, runs on any firing system: a threshold
 per vertex and, per vertex, the grains each target gains when it fires.
 A sandpile graph is the system (out_degree, out); `symmetry` builds the
 folded system of a group action, whose vertices are orbits, and runs the
-same kernel, burning test and identity formula on it.
+same kernel, burning test and identity formula on it.  The system's
+matrix S (`graphs._system_rows`; the reduced Laplacian is S^T) is read
+through the system itself: firing u gives c - S u (`_fired`), the sink
+weights are S 1, and element orders are solved against S's rows.
 
 The identity of the general path takes two stabilizations from zero.
-Given a float estimate of the torsion S^-1 1 (S the system's firing
-matrix), `_identity` takes one instead, started near the identity's
-firing potential S^-1 e; `symmetry.grid_identity` passes such an
-estimate for grids.  A start past the odometer in places is corrected
-by untoppling (`_descend`, after Friedrich and Levine 2013): least
-action keeps the firing vector at or above the odometer, and the last
-burning pass certifies the result.
+Given a float estimate of the torsion S^-1 1, `_identity` takes one
+instead, started near the identity's firing potential S^-1 e;
+`symmetry.grid_identity` passes such an estimate for grids.  A start
+past the odometer in places is corrected by untoppling (`_descend`,
+after Friedrich and Levine 2013): least action keeps the firing vector
+at or above the odometer, and the last burning pass certifies the
+result.
 
 Recurrence is decided by one pass of Dhar's burning (`_spread`, run by
 `_floor`), valid on undirected systems and their folds only: the pass
@@ -29,7 +32,7 @@ from collections import deque
 from math import ceil, gcd
 
 from .errors import SizeCapError
-from .graphs import reduced_laplacian
+from .graphs import _system_rows
 from .linalg import solve_int
 
 DEFAULT_ENUM_CAP = 10**7
@@ -228,13 +231,9 @@ def _fired(thresholds, out, c, u):
 
 
 def sink_weights(thresholds, out):
-    """Each threshold less what every vertex gives it when it fires (S 1):
+    """S 1, each threshold less what every vertex gives it when it fires:
     on the fold of an undirected graph, the folded burning configuration."""
-    beta = list(thresholds)
-    for gains in out:
-        for w, wt in gains.items():
-            beta[w] -= wt
-    return beta
+    return [-x for x in _fired(thresholds, out, [0] * len(out), [1] * len(out))]
 
 
 def _identity(thresholds, out, tau=None):
@@ -342,33 +341,28 @@ def enumerate_recurrents(g):
 
 
 def config_order(g, c):
-    """Least k >= 1 with k*c in the lattice the firings span.
-
-    Firing v subtracts row v of the reduced Laplacian L, so that lattice
-    is L^T Z^n (L^T = L on undirected graphs).  Solved in the numbering
-    of `_breadth_first`.
-    """
+    """Least k >= 1 with k*c in the lattice the firings span, S Z^n for
+    g's firing system, solved in the numbering of `_breadth_first`."""
     if len(c) != g.vertex_count:
         raise ValueError("configuration has wrong length")
-    return _order(*_breadth_first(list(zip(*reduced_laplacian(g))), c))
+    return _order(*_breadth_first(_system_rows(g.out_degree, g.out), c))
 
 
-def _breadth_first(m, c):
-    """The square matrix m and the vector c with the unknowns renumbered
-    breadth-first from 0 over m's nonzeros, read both ways (Cuthill-McKee
-    without its degree sort: neighbours by index, and each further
-    component from its least index).  Every nonzero then joins two
-    adjacent levels, so a grid gets the band of its shorter side however
-    it is numbered.  Permuting rows, columns and c together keeps c's
-    order against m.
+def _breadth_first(rows, c):
+    """The matrix with sparse rows `rows` (row i as {column k: entry},
+    as `graphs._system_rows` gives S), made dense, and the vector c, with
+    the unknowns renumbered breadth-first from 0 over the entries the
+    rows hold, read both ways (Cuthill-McKee without its degree sort:
+    neighbours by index, and each further component from its least
+    index).  Every entry then joins two adjacent levels, so a grid gets
+    the band of its shorter side however it is numbered.  Permuting
+    rows, columns and c together keeps c's order against the matrix.
     """
-    n = len(m)
-    nbrs = [set() for _ in range(n)]
-    for i, row in enumerate(m):
-        for k, x in enumerate(row):
-            if x and k != i:
-                nbrs[i].add(k)
-                nbrs[k].add(i)
+    n = len(rows)
+    nbrs = [set(row) for row in rows]
+    for i, row in enumerate(rows):
+        for k in row:
+            nbrs[k].add(i)
     seen, perm, done = [False] * n, [], 0
     for start in range(n):
         if not seen[start]:
@@ -380,7 +374,7 @@ def _breadth_first(m, c):
                     seen[w] = True
                     perm.append(w)
             done += 1
-    return [[m[i][k] for k in perm] for i in perm], [c[i] for i in perm]
+    return [[rows[i].get(k, 0) for k in perm] for i in perm], [c[i] for i in perm]
 
 
 def _order(m, c):

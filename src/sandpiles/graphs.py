@@ -5,6 +5,13 @@ everywhere, so that every matrix produced here matches the standard
 displayed forms entry for entry.  The grid, the staircase and the boards
 take their unit edges from one builder, `_lattice_edges`, which pairs
 each cell with its right and lower neighbours in that order.
+
+A firing system (thresholds, out), a graph's (out_degree, out) or a
+fold's (`symmetry`), has one matrix S, laid out in one place,
+`_system_rows` (made dense by `system_matrix`): row w has thresholds[w]
+on the diagonal and -out[v][w] in column v.  Determinants, element
+orders and burning configurations are read off S, and the reduced
+Laplacian is its transpose, L = S^T.
 """
 
 from collections import deque
@@ -200,12 +207,28 @@ def board_graph(kind, rows, cols):
     return MatchGraph(vertices, edges)
 
 
+def _system_rows(thresholds, out):
+    """The rows of a firing system's matrix S, row w as {column v: entry}:
+    thresholds on the diagonal, and -out[v][w] in row w, column v, so
+    that firing v subtracts column v of S."""
+    rows = [{w: t} for w, t in enumerate(thresholds)]
+    for v, gains in enumerate(out):
+        for w, wt in gains.items():
+            rows[w][v] = rows[w].get(v, 0) - wt
+    return rows
+
+
+def system_matrix(thresholds, out):
+    """A firing system's matrix S, `_system_rows` made dense."""
+    sym = [[0] * len(thresholds) for _ in thresholds]
+    for w, row in enumerate(_system_rows(thresholds, out)):
+        for v, x in row.items():
+            sym[w][v] = x
+    return sym
+
+
 def reduced_laplacian(g):
-    """Reduced Laplacian: entry (v, w) = [v = w] out-degree(v) - wt(v, w)."""
-    n = g.vertex_count
-    mat = [[0] * n for _ in range(n)]
-    for v in range(n):
-        mat[v][v] = g.out_degree[v]
-        for w, wt in g.out[v].items():
-            mat[v][w] -= wt
-    return mat
+    """Reduced Laplacian: entry (v, w) = [v = w] out-degree(v) - wt(v, w).
+    It is S^T for g's firing system (out_degree, out): row v is what
+    firing v subtracts."""
+    return [list(col) for col in zip(*system_matrix(g.out_degree, g.out))]

@@ -6,11 +6,13 @@ every member of Gv once, which is a legal run of topplings because a
 firing takes sand from no other vertex.  Its threshold is the
 representative's out-degree, and the representative w of each orbit
 gains the total weight of the edges from Gv's members into w (orbit
-mates of w included).  The symmetrized Laplacian is this system as a
-matrix (`system_matrix`); determinants, element orders, the identity
-and the burning tests of symmetric configurations all run on it, with
-about N/4 unknowns for the Klein action on an N-vertex grid and about
-N/8 for the dihedral action on a square one.
+mates of w included).  The symmetrized Laplacian is this system's
+matrix S, laid out by the one builder of every firing system's matrix,
+`graphs._system_rows` (the unfolded graph's is L^T, L the reduced
+Laplacian); determinants, element orders, the identity and the burning
+tests of symmetric configurations all run on the system, with about
+N/4 unknowns for the Klein action on an N-vertex grid and about N/8
+for the dihedral action on a square one.
 
 Any graph folds through a `GroupAction`, built from its generators: the
 column and row reflections for Klein, and the column reflection and a
@@ -41,7 +43,7 @@ from .engine import (
     sink_weights,
 )
 from .errors import SymmetryError
-from .graphs import SandpileGraph
+from .graphs import SandpileGraph, _system_rows, system_matrix
 
 
 class GroupAction:
@@ -161,25 +163,6 @@ def symmetrized_laplacian(g, action):
     every orbit gives w when it fires.
     """
     return system_matrix(*_folded_system(g, action))
-
-
-def _system_rows(thresholds, out):
-    """The rows of a folded system's matrix, row w as {column v: entry}:
-    thresholds on the diagonal, and -out[v][w] in row w, column v."""
-    rows = [{w: t} for w, t in enumerate(thresholds)]
-    for v, gains in enumerate(out):
-        for w, wt in gains.items():
-            rows[w][v] = rows[w].get(v, 0) - wt
-    return rows
-
-
-def system_matrix(thresholds, out):
-    """The matrix of a folded system, `_system_rows` made dense."""
-    sym = [[0] * len(thresholds) for _ in thresholds]
-    for w, row in enumerate(_system_rows(thresholds, out)):
-        for v, x in row.items():
-            sym[w][v] = x
-    return sym
 
 
 def grid_fold(rows, cols, group):
@@ -334,17 +317,16 @@ def symmetric_config_order(g, action, c):
     """Element order of a configuration c fixed by the action, solved on
     the folded system of one unknown per orbit.
 
-    Firing v subtracts row v of the reduced Laplacian L, so the order is
-    taken against L^T (see `engine.config_order`).  L^T commutes with
-    the action, so x = L^-T c is fixed by it, and L^T x = c folds to
-    S z = fold(c) with x = unfold(z) and S the symmetrized Laplacian,
-    which is the fold of L^T; this holds on directed graphs too.  So the
-    order is that of fold(c) against S (`engine._order`), solved in the
-    numbering of `engine._breadth_first`, since the orbits' own
-    numbering lays a wide grid's band along its long side.  Raises
-    SymmetryError if c is not symmetric.
+    The matrix S_g of g's firing system commutes with the action, so
+    x = S_g^-1 c is fixed by it, and S_g x = c folds to S z = fold(c)
+    with x = unfold(z) and S the folded system's matrix; this holds on
+    directed graphs too.  So the order is that of fold(c) against S
+    (`engine._order`), solved on S's rows in the numbering of
+    `engine._breadth_first`, since the orbits' own numbering lays a wide
+    grid's band along its long side.  Raises SymmetryError if c is not
+    symmetric.
     """
-    return _order(*_breadth_first(symmetrized_laplacian(g, action), fold(action, c)))
+    return _order(*_breadth_first(_system_rows(*_folded_system(g, action)), fold(action, c)))
 
 
 def fold(action, c):

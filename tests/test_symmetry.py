@@ -682,14 +682,14 @@ def test_descent_from_any_start_stays_above_the_odometer(group, rows, cols, data
     c, fire = _topple(thresholds, out, _fired(thresholds, out, x, u))
     now = [a + b for a, b in zip(u, fire)]
     assert all(a >= b for a, b in zip(now, odometer))
-    rounds = []
+    rounds, beta = [], sink_weights(thresholds, out)
 
     def untopple(thresholds, out, c, u):
         rounds.append(u)
         return _fired(thresholds, out, c, u)
 
     with mock.patch("sandpiles.engine._fired", untopple):
-        assert _descend(thresholds, out, c, sink_weights(thresholds, out)) == e
+        assert _descend(thresholds, out, c, beta) == e
     for step in rounds:
         assert all(k <= 0 for k in step)
         now = [a + k for a, k in zip(now, step)]

@@ -239,15 +239,38 @@ def test_enumeration_cap():
         enumerate_matchings(big)
 
 
-def test_non_grid_falls_back_to_enumeration():
-    # remove two corners so the grid detector bails out
+def test_holed_lattice_board_is_counted_by_kasteleyn(monkeypatch):
+    # two corners gone: the board is still on the lattice with unit-square
+    # faces, so the Kasteleyn matrix counts it, once
+    calls, kasteleyn = [], tilings._kasteleyn
+
+    def counted(*args):
+        calls.append(args)
+        return kasteleyn(*args)
+
     b = board_graph("plain", 2, 3)
     gone = {(1, 1), (2, 3)}
-    broken = MatchGraph(
+    holed = MatchGraph(
         [v for v in b.vertices if v not in gone],
         {e: w for e, w in b.edges.items() if not gone & set(e)},
     )
-    assert count_matchings(broken) == 1
+    monkeypatch.setattr(tilings, "_kasteleyn", counted)
+    assert count_matchings(holed) == len(enumerate_matchings(holed)) == 1
+    assert len(calls) == 1
+
+
+def test_off_lattice_edge_falls_back_to_enumeration(monkeypatch):
+    # an edge from (1, 1) to (2, 3) is no unit edge and no wrap, so
+    # `_grid_structure` refuses the board and its matchings are listed:
+    # the 2 x 4 strip's 5, and the one that uses the edge
+    def unused(*args):
+        raise AssertionError("the Kasteleyn matrix was built")
+
+    b = board_graph("plain", 2, 4)
+    off = MatchGraph(b.vertices, {**b.edges, ((1, 1), (2, 3)): 1})
+    monkeypatch.setattr(tilings, "_kasteleyn", unused)
+    assert tilings._grid_structure(off) is None
+    assert count_matchings(off) == len(enumerate_matchings(off)) == 6
 
 
 def test_holed_mobius_board_falls_back_to_enumeration(monkeypatch):
